@@ -13,7 +13,7 @@ justify using fastpath for the scaling experiments.  Also reports the
 engine's message statistics for one run, substantiating the CONGEST
 message-width claim on a mid-size instance.
 
-Three hard gates ride along:
+Five hard gates ride along:
 
 * ``test_fastpath_smoke_equality_gate`` — a fast fastpath-vs-lockstep
   differential check sized for CI;
@@ -27,10 +27,6 @@ Three hard gates ride along:
   seeded lane-eligible instance the machine-width kernel lane (the
   default ``lane="auto"`` fastpath loop) must be bit-identical to and
   >= 2x faster than the pre-PR big-int loop (``lane="bigint"``);
-* ``test_fused_sweep_speedup_gate`` — on the same lane profile, the
-  fused sweep/setup passes (``FUSED_SWEEPS = True``, the default) must
-  be bit-identical to and >= 1.3x faster than the pre-fusion engine
-  (``FUSED_SWEEPS = False``);
 * ``test_three_limb_speedup_gate`` — on a seeded huge-``beta_den``
   instance that disqualifies both narrower machine lanes, the
   three-limb lane must complete the whole run (no spill to big-int)
@@ -371,100 +367,6 @@ def test_lane_speedup_gate(benchmark):
     assert speedup >= LANE_SPEEDUP_FLOOR, (
         f"machine-lane speedup {speedup:.2f}x below the "
         f"{LANE_SPEEDUP_FLOOR}x floor"
-    )
-
-
-FUSED_SPEEDUP_FLOOR = 1.3
-
-
-def test_fused_sweep_speedup_gate(benchmark):
-    """Acceptance: fused sweep/setup passes >= 1.3x the pre-fusion engine.
-
-    ``FUSED_SWEEPS = False`` reproduces the pre-fusion engine — scalar
-    iteration 0, scalar arena packing, per-op sweep composition with no
-    view caches, per-edge Fraction finalization — so flipping the flag
-    inside the timed pair measures exactly what the fusion bought.
-    Both modes must stay bit-identical on every observable.
-    """
-    import repro.core.kernels as kernels_module
-    from repro.hypergraph.generators import regular_hypergraph
-
-    hypergraph = regular_hypergraph(
-        LANE_N,
-        LANE_RANK,
-        LANE_DEGREE,
-        seed=LANE_SEED,
-        weights=uniform_weights(LANE_N, LANE_MAX_WEIGHT, seed=LANE_SEED + 1),
-    )
-    config = AlgorithmConfig(epsilon=LANE_EPSILON)
-    solve_mwhvc(hypergraph, config=config, executor="fastpath", verify=False)
-
-    def run_pair():
-        fused_times = []
-        unfused_times = []
-        try:
-            for _ in range(2):
-                kernels_module.FUSED_SWEEPS = True
-                t0 = time.perf_counter()
-                fused = solve_mwhvc(
-                    hypergraph, config=config, executor="fastpath",
-                    verify=False,
-                )
-                t1 = time.perf_counter()
-                kernels_module.FUSED_SWEEPS = False
-                unfused = solve_mwhvc(
-                    hypergraph, config=config, executor="fastpath",
-                    verify=False,
-                )
-                t2 = time.perf_counter()
-                fused_times.append(t1 - t0)
-                unfused_times.append(t2 - t1)
-        finally:
-            kernels_module.FUSED_SWEEPS = True
-        return fused, unfused, min(fused_times), min(unfused_times)
-
-    fused, unfused, fused_s, unfused_s = benchmark.pedantic(
-        run_pair, rounds=1, iterations=1
-    )
-    assert fused.lane == unfused.lane == "int64"
-    assert_bit_identical(unfused, fused, what="fused vs pre-fusion sweeps")
-    speedup = unfused_s / fused_s
-    table = render_table(
-        ["engine", "seconds", "speedup vs pre-fusion"],
-        [
-            ["fused sweeps", f"{fused_s:.3f}", f"{speedup:.2f}x"],
-            ["pre-fusion", f"{unfused_s:.3f}", "1.00x"],
-        ],
-        title=(
-            f"E11 — fused sweep-pass speedup (n={LANE_N}, "
-            f"{LANE_DEGREE}-regular, rank={LANE_RANK}, "
-            f"W<={LANE_MAX_WEIGHT}, eps={LANE_EPSILON}, "
-            f"iterations={fused.iterations})"
-        ),
-    )
-    publish("executor_fused_sweeps", table)
-    publish_json(
-        "executor_fused_sweeps",
-        {
-            "gate": "fastpath_fused_sweep_speedup",
-            "n": LANE_N,
-            "m": hypergraph.num_edges,
-            "rank": LANE_RANK,
-            "degree": LANE_DEGREE,
-            "max_weight": LANE_MAX_WEIGHT,
-            "epsilon": str(LANE_EPSILON),
-            "seed": LANE_SEED,
-            "iterations": fused.iterations,
-            "fused_seconds": round(fused_s, 6),
-            "unfused_seconds": round(unfused_s, 6),
-            "speedup": round(speedup, 3),
-            "floor": FUSED_SPEEDUP_FLOOR,
-            "bit_identical": True,
-        },
-    )
-    assert speedup >= FUSED_SPEEDUP_FLOOR, (
-        f"fused-sweep speedup {speedup:.2f}x below the "
-        f"{FUSED_SPEEDUP_FLOOR}x floor"
     )
 
 

@@ -29,12 +29,12 @@ single source of truth the object cores use.
 Since PR 3 the executor selects an arithmetic **lane** per run (see
 :mod:`repro.core.kernels`): instances whose headroom bound fits
 machine width run the whole iteration loop on vectorized ``int64``
-arrays (or on the two-/three-limb multi-word representations when they
-outgrow int64 but not ``2**93``), falling back transparently to the
-unbounded big-int loop below — ``"bigint"`` — when neither bound
-holds or when a lane's scale outgrows its headroom mid-run.  Every
-lane is bit-identical; ``lane="..."`` forces the ladder's entry point
-for tests and diagnostics.
+arrays (or on the two-limb multi-word representation up to ``2**93``
+and the three-limb one up to ``2**124`` when they outgrow int64),
+falling back transparently to the unbounded big-int loop below —
+``"bigint"`` — when no bound holds or when a lane's scale outgrows its
+headroom mid-run.  Every lane is bit-identical; ``lane="..."`` forces
+the ladder's entry point for tests and diagnostics.
 
 In the big-int loop, when numpy is importable the structural
 per-iteration reductions (per-edge halving totals, per-edge raise
@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-import repro.core.kernels as kernels_module
 from repro.core.edge_logic import argmin_member, initial_bid, initial_bid_scaled
 from repro.core.kernels import (
     MACHINE_LANES,
@@ -357,16 +356,14 @@ def prepare_scaled_state(
 ) -> ScaledState:
     """Run iteration 0 exactly: alphas, argmins, global scale, bids.
 
-    With :data:`repro.core.kernels.FUSED_SWEEPS` active (the default),
-    the common all-integer-weights case runs as one fused vectorized
+    The common all-integer-weights case runs as one fused vectorized
     pass (:func:`_fused_iteration0`); the scalar per-edge loop below
     remains the exact reference (and the only path for fractional
     weights, huge magnitudes, or numpy-less interpreters).
     """
-    if kernels_module.FUSED_SWEEPS:
-        state = _fused_iteration0(hypergraph, config)
-        if state is not None:
-            return state
+    state = _fused_iteration0(hypergraph, config)
+    if state is not None:
+        return state
     n = hypergraph.num_vertices
     m = hypergraph.num_edges
     rank = hypergraph.rank

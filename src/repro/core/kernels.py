@@ -17,19 +17,19 @@ same guarded kernels:
   (numpy, multi-increment mode, unchecked runs, integral alphas);
 * **the int64 lane** (:class:`Int64Ops`) — plain ``int64`` arrays, one
   numpy kernel per transition, exactly PR 2's arena arithmetic;
-* **the two-limb lane** (:class:`TwoLimbOps`) — every value is an
-  ``x = hi * 2**32 + lo`` pair of ``int64`` arrays with vectorized
-  carry propagation, widening the representable range to ~128 bits
-  (headroom ``2**93``) so large-scale / large-alpha / large-weight
-  instances that outgrow int64 still run at machine speed.  Small
+* **the limb lanes** (:class:`LimbOps`, instantiated as
+  :data:`TwoLimbOps` and :data:`ThreeLimbOps`) — every value is a
+  tuple of ``int64`` word arrays, 32 bits per word below the top one,
+  with vectorized carry propagation.  Two words widen the range to
+  headroom ``2**93``, so large-scale / large-alpha / large-weight
+  instances that outgrow int64 still run at machine speed; scalar
   multipliers (``beta_den``, ``alpha``, ``2**(z+2)``) must fit 31 bits
-  so limb products stay inside int64 — checked by eligibility;
-* **the three-limb lane** (:class:`ThreeLimbOps`) — values are
-  ``x = hi * 2**64 + mid * 2**32 + lo`` triples of ``int64`` arrays
-  (headroom ``2**124``), and scalar multipliers get a 62-bit budget by
+  so digit products stay inside int64.  Three words reach headroom
+  ``2**124``, and that lane's multipliers get a 62-bit budget by
   splitting them into 31-bit halves, so the huge-``beta_den`` regimes
   (the f-approximation's tiny epsilon on big weights) stay on machine
-  arithmetic instead of falling through to big-int;
+  arithmetic instead of falling through to big-int.  Both budgets are
+  checked by eligibility;
 * **the sweep engine** (:class:`LaneRun`) — the per-iteration
   vectorized protocol (tightness, level increments, halvings, raise
   unanimity, dual growth) over a shared CSR arena of K >= 1 instances,
@@ -42,13 +42,13 @@ same guarded kernels:
   that iteration*
   instead of replaying from iteration 0.  Resumption is exact: value
   arrays cross the lane boundary as arbitrary-precision integers
-  (``int64`` words widen to two-limb pairs, two-limb pairs reconstruct
-  to Python ints), and per-instance iteration offsets keep the
+  (``int64`` words widen to limb tuples, limb tuples reconstruct to
+  Python ints), and per-instance iteration offsets keep the
   round/iteration accounting bit-identical to an uninterrupted run.
 
 The transition *formulas* are not duplicated: the int64 lane applies
 the ``*_scaled`` pure functions from :mod:`repro.core.vertex_logic`
-directly to whole arrays, and the two-limb lane implements the same
+directly to whole arrays, and the limb lanes implement the same
 cross-multiplied comparisons limb-wise (each rewrite cites its scalar
 twin).  The lane-forcing differential tests in
 ``tests/test_kernel_lanes.py`` pin all lanes against the Fraction
@@ -93,9 +93,9 @@ __all__ = [
     "INT64_HEADROOM_BITS",
     "TWO_LIMB_HEADROOM_BITS",
     "THREE_LIMB_HEADROOM_BITS",
-    "FUSED_SWEEPS",
     "MACHINE_LANES",
     "Int64Ops",
+    "LimbOps",
     "TwoLimbOps",
     "ThreeLimbOps",
     "LaneRun",
@@ -143,7 +143,7 @@ THREE_LIMB_FACTOR_BITS = 62
 #: below this before letting numpy multiply them.
 _INT64_MAX = (1 << 63) - 1
 
-#: Bits per stored low limb of a two-limb value.
+#: Bits per stored limb below a limb value's top word.
 LIMB_BITS = 32
 
 _LIMB_MASK = (1 << LIMB_BITS) - 1
@@ -151,15 +151,6 @@ _LIMB_MASK = (1 << LIMB_BITS) - 1
 #: The machine-width lanes, strongest first; the spill ladder appends
 #: the unbounded big-int executor after these.
 MACHINE_LANES = ("int64", "two-limb", "three-limb")
-
-#: Default for :class:`LaneRun`'s fused sweep mode.  Fused sweeps are
-#: bit-identical to the unfused per-op composition — they cache the
-#: live-subset CSR views across sweeps (invalidated whenever a live set
-#: changes), reuse the live-edge mask of the vertex view, skip the
-#: halving reduceat on sweeps with no level increments, and use the
-#: lanes' fused gather→op→scatter kernels.  The flag exists so the
-#: benchmark gate can measure the pre-fusion engine as its baseline.
-FUSED_SWEEPS = True
 
 
 # ----------------------------------------------------------------------
@@ -333,10 +324,6 @@ class Int64Ops:
         return value[sl].tolist()
 
     @staticmethod
-    def copy(value):
-        return value.copy()
-
-    @staticmethod
     def gather(value, idx):
         return value[idx]
 
@@ -361,10 +348,6 @@ class Int64Ops:
         return value << count
 
     @staticmethod
-    def shr_exact(value, count):
-        return value >> count
-
-    @staticmethod
     def ishl_slice(value, sl, shift):
         value[sl] <<= shift
 
@@ -385,12 +368,8 @@ class Int64Ops:
     def reduceat(cells, starts):
         return _np.add.reduceat(cells, starts)
 
-    @staticmethod
-    def empty():
-        return _np.empty(0, dtype=_np.int64)
-
     # -- fused kernels (single-pass forms of gather→op→scatter chains;
-    # -- the multi-limb lanes fall back to the per-op composition) -----
+    # -- the limb lanes compose them from the per-op kernels) ----------
 
     @staticmethod
     def halve_at(value, idx, counts):
@@ -418,318 +397,98 @@ class Int64Ops:
         )
 
 
-class TwoLimb:
-    """A vector of non-negative ~128-bit values: ``hi * 2**32 + lo``.
+def _normalize(words):
+    """Carry every word but the top one back into ``[0, 2**32)``.
 
-    Both limbs are ``int64`` arrays; the *normalized* invariant is
-    ``0 <= lo < 2**32`` (so bitwise OR across pairs equals OR of the
-    represented values).  ``hi`` stays below ``2**61`` for every value
-    admitted by the ``2**93`` headroom bound.
+    Callers pass word sums or digit products of normalized values, so
+    each lower word is below ``2**63 - 2**32``; its carry is below
+    ``2**31`` and adding it to the next word stays inside int64.
+    """
+    normalized = []
+    carry = None
+    for word in words[:-1]:
+        if carry is not None:
+            word = word + carry
+        carry = word >> LIMB_BITS
+        normalized.append(word & _LIMB_MASK)
+    normalized.append(words[-1] + carry)
+    return tuple(normalized)
+
+
+def _word_trailing_zeros(word):
+    bit = word & -word
+    return _np.log2(_np.maximum(bit, 1).astype(_np.float64)).astype(_np.int64)
+
+
+class LimbOps:
+    """The multi-word lanes: limb-parallel arithmetic with vectorized carry.
+
+    A value is a tuple of ``limbs`` 1-D ``int64`` word arrays, lowest
+    first: ``V = sum(words[i] << 32*i)``.  Normalized values keep every
+    word below the top one in ``[0, 2**32)``, so bitwise OR across
+    tuples is OR of the values; the lane's headroom (``2**93`` with two
+    limbs, ``2**124`` with three) keeps the top word below ``2**61``.
+    The comments bound the intermediates.
+
+    Multipliers below ``2**31`` apply as one digit-product pass; larger
+    ones, up to the three-limb lane's 62-bit budget, split into 31-bit
+    halves (two passes plus one carried add), which keeps the
+    huge-``beta_den`` f-approximation regime on machine arithmetic.
     """
 
-    __slots__ = ("hi", "lo")
+    def __init__(self, name: str, limbs: int):
+        self.name = name
+        self.limbs = limbs
 
-    def __init__(self, hi, lo):
-        self.hi = hi
-        self.lo = lo
-
-    @property
-    def size(self):
-        return self.lo.size
-
-
-def _two_limb_normalize(hi, lo):
-    carry = lo >> LIMB_BITS
-    return TwoLimb(hi + carry, lo & _LIMB_MASK)
-
-
-class TwoLimbOps:
-    """The 128-bit lane: limb-parallel arithmetic with vectorized carry.
-
-    Every operation is a handful of int64 numpy kernels; the comments
-    bound the intermediates.  ``V`` denotes a represented value, which
-    the headroom guarantee keeps below ``2**93``; scalar multipliers
-    are below ``2**31`` (eligibility), so every limb product fits a
-    signed int64.
-    """
-
-    name = "two-limb"
-
-    @staticmethod
-    def from_list(values):
-        hi = _np.array([value >> LIMB_BITS for value in values], dtype=_np.int64)
-        lo = _np.array([value & _LIMB_MASK for value in values], dtype=_np.int64)
-        return TwoLimb(hi, lo)
+    def from_list(self, values):
+        words = []
+        for _ in range(self.limbs - 1):
+            words.append([value & _LIMB_MASK for value in values])
+            values = [value >> LIMB_BITS for value in values]
+        words.append(values)
+        return tuple(_np.array(word, dtype=_np.int64) for word in words)
 
     @staticmethod
     def tolist_slice(value, sl):
-        his = value.hi[sl].tolist()
-        los = value.lo[sl].tolist()
-        return [(hi << LIMB_BITS) | lo for hi, lo in zip(his, los)]
-
-    @staticmethod
-    def copy(value):
-        return TwoLimb(value.hi.copy(), value.lo.copy())
-
-    @staticmethod
-    def gather(value, idx):
-        return TwoLimb(value.hi[idx], value.lo[idx])
-
-    @staticmethod
-    def scatter(value, idx, other):
-        value.hi[idx] = other.hi
-        value.lo[idx] = other.lo
-
-    @staticmethod
-    def iadd(value, idx, other):
-        # lo sums stay below 2**33; one carry pass renormalizes.
-        lo = value.lo[idx] + other.lo
-        value.hi[idx] += other.hi + (lo >> LIMB_BITS)
-        value.lo[idx] = lo & _LIMB_MASK
-
-    @staticmethod
-    def mul_mask(value, mask):
-        return TwoLimb(value.hi * mask, value.lo * mask)
-
-    @staticmethod
-    def mul_int(value, factor):
-        """``V * c`` for ``c < 2**31`` (scalar or per-element array).
-
-        Splits ``hi`` into 31-bit halves so every partial product fits
-        int64: ``V*c = (hi>>31)*c * 2**63 + (hi&M31)*c * 2**32 + lo*c``
-        with ``lo*c < 2**63``, ``(hi&M31)*c < 2**62`` and — because the
-        result is below the 2**93 headroom — ``(hi>>31)*c < 2**30``.
-        """
-        mask31 = (1 << 31) - 1
-        p_lo = value.lo * factor
-        p_h0 = (value.hi & mask31) * factor
-        p_h1 = (value.hi >> 31) * factor
-        hi = (p_h1 << 31) + p_h0 + (p_lo >> LIMB_BITS)
-        return TwoLimb(hi, p_lo & _LIMB_MASK)
-
-    @classmethod
-    def shl(cls, value, count):
-        """``V << count`` in chunks of <= 30 bits (each a mul_int)."""
-        if _np.isscalar(count) or getattr(count, "ndim", 1) == 0:
-            count = _np.full(value.size, int(count), dtype=_np.int64)
-        result = value
-        remaining = count
-        while remaining.size and int(remaining.max()) > 0:
-            step = _np.minimum(remaining, 30)
-            result = cls.mul_int(result, _np.int64(1) << step)
-            remaining = remaining - step
+        words = [word[sl].tolist() for word in value]
+        result = words.pop()
+        while words:
+            result = [
+                (high << LIMB_BITS) | low
+                for high, low in zip(result, words.pop())
+            ]
         return result
 
     @staticmethod
-    def shr_exact(value, count):
-        """``V >> count`` (exact division) in chunks of <= 31 bits."""
-        hi, lo = value.hi, value.lo
-        remaining = count
-        while True:
-            step = _np.minimum(remaining, 31)
-            lo = (lo >> step) | ((hi & ((_np.int64(1) << step) - 1)) << (LIMB_BITS - step))
-            hi = hi >> step
-            remaining = remaining - step
-            if not remaining.size or int(remaining.max()) <= 0:
-                break
-        return TwoLimb(hi, lo)
-
-    @classmethod
-    def ishl_slice(cls, value, sl, shift):
-        shifted = cls.shl(
-            TwoLimb(value.hi[sl], value.lo[sl]),
-            _np.int64(shift),
-        )
-        value.hi[sl] = shifted.hi
-        value.lo[sl] = shifted.lo
-
-    @staticmethod
-    def gt(left, right):
-        return (left.hi > right.hi) | (
-            (left.hi == right.hi) & (left.lo > right.lo)
-        )
-
-    @staticmethod
-    def _ge(left, right):
-        return (left.hi > right.hi) | (
-            (left.hi == right.hi) & (left.lo >= right.lo)
-        )
-
-    @staticmethod
-    def bit_or(left, right):
-        # Valid because normalized lo limbs occupy exactly 32 bits.
-        return TwoLimb(left.hi | right.hi, left.lo | right.lo)
-
-    @staticmethod
-    def trailing_zeros(value):
-        lo_bit = value.lo & -value.lo
-        hi_bit = value.hi & -value.hi
-        lo_tz = _np.log2(
-            _np.maximum(lo_bit, 1).astype(_np.float64)
-        ).astype(_np.int64)
-        hi_tz = _np.log2(
-            _np.maximum(hi_bit, 1).astype(_np.float64)
-        ).astype(_np.int64)
-        return _np.where(value.lo != 0, lo_tz, LIMB_BITS + hi_tz)
-
-    @staticmethod
-    def reduceat(cells, starts):
-        # lo partial sums < segment_length * 2**32 and hi partial sums
-        # < (semantic segment sum) / 2**32 < 2**61 — both inside int64.
-        hi = _np.add.reduceat(cells.hi, starts)
-        lo = _np.add.reduceat(cells.lo, starts)
-        return _two_limb_normalize(hi, lo)
-
-    @staticmethod
-    def empty():
-        empty = _np.empty(0, dtype=_np.int64)
-        return TwoLimb(empty, empty.copy())
-
-    # -- fused kernels (per-op composition; the fused sweeps' gain on
-    # -- limb lanes comes from the cached views, not these) ------------
-
-    @classmethod
-    def halve_at(cls, value, idx, counts):
-        cls.scatter(value, idx, cls.shr_exact(cls.gather(value, idx), counts))
-
-    @classmethod
-    def iadd_gather(cls, dest, idx, src):
-        cls.iadd(dest, idx, cls.gather(src, idx))
-
-    # -- transition tests ----------------------------------------------
-
-    @classmethod
-    def is_tight(cls, running, beta_den, threshold):
-        """:func:`~repro.core.vertex_logic.is_tight_scaled`, limb-wise:
-        ``running * beta_den >= threshold``."""
-        return cls._ge(cls.mul_int(running, beta_den), threshold)
-
-    @classmethod
-    def wants_raise(cls, sums, weight, level, extra_shift=None):
-        """:func:`~repro.core.vertex_logic.wants_raise_scaled`,
-        limb-wise: ``sums << (level+1) <= weight << extra_shift``."""
-        lhs = cls.shl(sums, level + 1)
-        rhs = weight if extra_shift is None else cls.shl(weight, extra_shift)
-        return ~cls.gt(lhs, rhs)
-
-
-class ThreeLimb:
-    """A vector of non-negative ~192-bit values:
-    ``hi * 2**64 + mid * 2**32 + lo``.
-
-    All three limbs are ``int64`` arrays; the *normalized* invariant is
-    ``0 <= lo, mid < 2**32`` (so bitwise OR across triples equals OR of
-    the represented values).  ``hi`` stays below ``2**60`` for every
-    value admitted by the ``2**124`` headroom bound.
-    """
-
-    __slots__ = ("hi", "mid", "lo")
-
-    def __init__(self, hi, mid, lo):
-        self.hi = hi
-        self.mid = mid
-        self.lo = lo
-
-    @property
-    def size(self):
-        return self.lo.size
-
-
-def _three_limb_normalize(hi, mid, lo):
-    carry = lo >> LIMB_BITS
-    mid = mid + carry
-    return ThreeLimb(hi + (mid >> LIMB_BITS), mid & _LIMB_MASK, lo & _LIMB_MASK)
-
-
-class ThreeLimbOps:
-    """The ~192-bit lane: three-limb arithmetic with vectorized carry.
-
-    Same op surface and style as :class:`TwoLimbOps`; the comments
-    bound the intermediates.  ``V`` denotes a represented value, which
-    the headroom guarantee keeps below ``2**124`` (so ``hi < 2**60``).
-    Scalar multipliers may reach **62 bits** (eligibility): a factor
-    ``c`` is split into 31-bit halves ``c = c_hi * 2**31 + c_lo`` and
-    applied as two digit-product passes plus one carried add — each
-    digit product of a 31-bit chunk fits a signed int64 because
-    ``digit < 2**32`` and ``hi * chunk <= V * c / 2**64 < 2**60``.
-    This doubled budget (versus the two-limb 31-bit cap) is what keeps
-    the huge-``beta_den`` f-approximation regime on machine arithmetic.
-    """
-
-    name = "three-limb"
-
-    @staticmethod
-    def from_list(values):
-        hi = _np.array(
-            [value >> (2 * LIMB_BITS) for value in values], dtype=_np.int64
-        )
-        mid = _np.array(
-            [(value >> LIMB_BITS) & _LIMB_MASK for value in values],
-            dtype=_np.int64,
-        )
-        lo = _np.array([value & _LIMB_MASK for value in values], dtype=_np.int64)
-        return ThreeLimb(hi, mid, lo)
-
-    @staticmethod
-    def tolist_slice(value, sl):
-        his = value.hi[sl].tolist()
-        mids = value.mid[sl].tolist()
-        los = value.lo[sl].tolist()
-        return [
-            (hi << (2 * LIMB_BITS)) | (mid << LIMB_BITS) | lo
-            for hi, mid, lo in zip(his, mids, los)
-        ]
-
-    @staticmethod
-    def copy(value):
-        return ThreeLimb(value.hi.copy(), value.mid.copy(), value.lo.copy())
-
-    @staticmethod
     def gather(value, idx):
-        return ThreeLimb(value.hi[idx], value.mid[idx], value.lo[idx])
+        return tuple(word[idx] for word in value)
 
     @staticmethod
     def scatter(value, idx, other):
-        value.hi[idx] = other.hi
-        value.mid[idx] = other.mid
-        value.lo[idx] = other.lo
+        for word, new in zip(value, other):
+            word[idx] = new
 
-    @staticmethod
-    def iadd(value, idx, other):
-        # lo/mid sums stay below 2**33; one carry pass renormalizes.
-        lo = value.lo[idx] + other.lo
-        mid = value.mid[idx] + other.mid + (lo >> LIMB_BITS)
-        value.hi[idx] += other.hi + (mid >> LIMB_BITS)
-        value.mid[idx] = mid & _LIMB_MASK
-        value.lo[idx] = lo & _LIMB_MASK
+    def iadd(self, value, idx, other):
+        # Word sums stay below 2**33; one carry pass renormalizes.
+        total = _normalize([word[idx] + new for word, new in zip(value, other)])
+        self.scatter(value, idx, total)
 
     @staticmethod
     def mul_mask(value, mask):
-        return ThreeLimb(value.hi * mask, value.mid * mask, value.lo * mask)
-
-    @staticmethod
-    def _add(left, right):
-        # Carried add of two normalized values; sums stay below 2**33.
-        lo = left.lo + right.lo
-        mid = left.mid + right.mid + (lo >> LIMB_BITS)
-        hi = left.hi + right.hi + (mid >> LIMB_BITS)
-        return ThreeLimb(hi, mid & _LIMB_MASK, lo & _LIMB_MASK)
+        return tuple(word * mask for word in value)
 
     @staticmethod
     def _mul_small(value, factor):
         """``V * c`` for ``c < 2**31`` (scalar or per-element array).
 
-        Direct digit products: ``lo*c < 2**63``, ``mid*c + carry <
-        2**63`` and — because the result is below the 2**124 headroom —
-        ``hi*c <= (V*c) / 2**64 < 2**60``; every product fits int64.
+        Direct digit products: each lower word times ``c`` is below
+        ``2**63 - 2**32``, leaving room for the incoming carry, and —
+        because the result is below the headroom — the top word's
+        product is at most ``V * c / 2**(32 * (limbs - 1)) < 2**61``.
         """
-        p_lo = value.lo * factor
-        p_mid = value.mid * factor + (p_lo >> LIMB_BITS)
-        hi = value.hi * factor + (p_mid >> LIMB_BITS)
-        return ThreeLimb(hi, p_mid & _LIMB_MASK, p_lo & _LIMB_MASK)
+        return _normalize([word * factor for word in value])
 
-    @classmethod
-    def mul_int(cls, value, factor):
+    def mul_int(self, value, factor):
         """``V * c`` for ``c < 2**62`` (scalar or per-element array).
 
         Factors below 2**31 take one digit-product pass; larger ones
@@ -737,140 +496,115 @@ class ThreeLimbOps:
         where both partial products obey :meth:`_mul_small`'s bounds
         because each is at most the final (headroom-bounded) result.
         """
-        mask31 = (_np.int64(1) << 31) - 1
         if _np.isscalar(factor) or getattr(factor, "ndim", 1) == 0:
             if int(factor) < (1 << 31):
-                return cls._mul_small(value, factor)
+                return self._mul_small(value, factor)
             factor = _np.int64(factor)
         elif not factor.size or int(factor.max()) < (1 << 31):
-            return cls._mul_small(value, factor)
-        high = cls.shl(cls._mul_small(value, factor >> 31), _np.int64(31))
-        return cls._add(high, cls._mul_small(value, factor & mask31))
+            return self._mul_small(value, factor)
+        mask31 = (_np.int64(1) << 31) - 1
+        high = self.shl(self._mul_small(value, factor >> 31), _np.int64(31))
+        low = self._mul_small(value, factor & mask31)
+        # Carried add of two normalized values; word sums stay below 2**33.
+        return _normalize([a + b for a, b in zip(high, low)])
 
-    @classmethod
-    def shl(cls, value, count):
+    def shl(self, value, count):
         """``V << count`` in chunks of <= 30 bits (each a digit pass)."""
         if _np.isscalar(count) or getattr(count, "ndim", 1) == 0:
-            count = _np.full(value.size, int(count), dtype=_np.int64)
+            count = _np.full(value[0].size, int(count), dtype=_np.int64)
         result = value
         remaining = count
         while remaining.size and int(remaining.max()) > 0:
             step = _np.minimum(remaining, 30)
-            result = cls._mul_small(result, _np.int64(1) << step)
+            result = self._mul_small(result, _np.int64(1) << step)
             remaining = remaining - step
         return result
 
     @staticmethod
     def shr_exact(value, count):
         """``V >> count`` (exact division) in chunks of <= 31 bits."""
-        hi, mid, lo = value.hi, value.mid, value.lo
+        words = list(value)
         remaining = count
         while True:
             step = _np.minimum(remaining, 31)
             low_mask = (_np.int64(1) << step) - 1
             up = LIMB_BITS - step
-            lo = (lo >> step) | ((mid & low_mask) << up)
-            mid = (mid >> step) | ((hi & low_mask) << up)
-            hi = hi >> step
+            for index in range(len(words) - 1):
+                carried = (words[index + 1] & low_mask) << up
+                words[index] = (words[index] >> step) | carried
+            words[-1] = words[-1] >> step
             remaining = remaining - step
             if not remaining.size or int(remaining.max()) <= 0:
                 break
-        return ThreeLimb(hi, mid, lo)
+        return tuple(words)
 
-    @classmethod
-    def ishl_slice(cls, value, sl, shift):
-        shifted = cls.shl(
-            ThreeLimb(value.hi[sl], value.mid[sl], value.lo[sl]),
-            _np.int64(shift),
-        )
-        value.hi[sl] = shifted.hi
-        value.mid[sl] = shifted.mid
-        value.lo[sl] = shifted.lo
+    def ishl_slice(self, value, sl, shift):
+        self.scatter(value, sl, self.shl(self.gather(value, sl), _np.int64(shift)))
 
     @staticmethod
-    def gt(left, right):
-        return (left.hi > right.hi) | (
-            (left.hi == right.hi)
-            & (
-                (left.mid > right.mid)
-                | ((left.mid == right.mid) & (left.lo > right.lo))
-            )
-        )
+    def _compare(left, right, lowest):
+        # Lexicographic with the top word most significant, folded up
+        # from the lowest word, whose comparison is ``lowest``.
+        result = lowest(left[0], right[0])
+        for mine, theirs in zip(left[1:], right[1:]):
+            result = (mine > theirs) | ((mine == theirs) & result)
+        return result
 
-    @staticmethod
-    def _ge(left, right):
-        return (left.hi > right.hi) | (
-            (left.hi == right.hi)
-            & (
-                (left.mid > right.mid)
-                | ((left.mid == right.mid) & (left.lo >= right.lo))
-            )
-        )
+    def gt(self, left, right):
+        return self._compare(left, right, _np.greater)
+
+    def _ge(self, left, right):
+        return self._compare(left, right, _np.greater_equal)
 
     @staticmethod
     def bit_or(left, right):
-        # Valid because normalized lo/mid limbs occupy exactly 32 bits.
-        return ThreeLimb(
-            left.hi | right.hi, left.mid | right.mid, left.lo | right.lo
-        )
+        # Valid because normalized lower words occupy exactly 32 bits.
+        return tuple(mine | theirs for mine, theirs in zip(left, right))
 
     @staticmethod
     def trailing_zeros(value):
-        def limb_tz(limb):
-            bit = limb & -limb
-            return _np.log2(
-                _np.maximum(bit, 1).astype(_np.float64)
-            ).astype(_np.int64)
-
-        return _np.where(
-            value.lo != 0,
-            limb_tz(value.lo),
-            _np.where(
-                value.mid != 0,
-                LIMB_BITS + limb_tz(value.mid),
-                2 * LIMB_BITS + limb_tz(value.hi),
-            ),
-        )
+        *low, top = value
+        result = LIMB_BITS * len(low) + _word_trailing_zeros(top)
+        for index in reversed(range(len(low))):
+            zeros = LIMB_BITS * index + _word_trailing_zeros(low[index])
+            result = _np.where(low[index] != 0, zeros, result)
+        return result
 
     @staticmethod
     def reduceat(cells, starts):
-        # lo/mid partial sums < segment_length * 2**32 and hi partial
-        # sums < (semantic segment sum) / 2**64 < 2**60 — all int64.
-        hi = _np.add.reduceat(cells.hi, starts)
-        mid = _np.add.reduceat(cells.mid, starts)
-        lo = _np.add.reduceat(cells.lo, starts)
-        return _three_limb_normalize(hi, mid, lo)
+        # Lower-word partial sums < segment_length * 2**32 and top-word
+        # partial sums < (semantic segment sum) / 2**(32*(limbs-1)) <
+        # 2**61 — all inside int64.
+        return _normalize([_np.add.reduceat(word, starts) for word in cells])
 
-    @staticmethod
-    def empty():
-        empty = _np.empty(0, dtype=_np.int64)
-        return ThreeLimb(empty, empty.copy(), empty.copy())
+    # -- fused kernels (per-op composition) ----------------------------
 
-    # -- fused kernels (per-op composition, as in TwoLimbOps) ----------
+    def halve_at(self, value, idx, counts):
+        self.scatter(value, idx, self.shr_exact(self.gather(value, idx), counts))
 
-    @classmethod
-    def halve_at(cls, value, idx, counts):
-        cls.scatter(value, idx, cls.shr_exact(cls.gather(value, idx), counts))
-
-    @classmethod
-    def iadd_gather(cls, dest, idx, src):
-        cls.iadd(dest, idx, cls.gather(src, idx))
+    def iadd_gather(self, dest, idx, src):
+        self.iadd(dest, idx, self.gather(src, idx))
 
     # -- transition tests ----------------------------------------------
 
-    @classmethod
-    def is_tight(cls, running, beta_den, threshold):
+    def is_tight(self, running, beta_den, threshold):
         """:func:`~repro.core.vertex_logic.is_tight_scaled`, limb-wise:
         ``running * beta_den >= threshold``."""
-        return cls._ge(cls.mul_int(running, beta_den), threshold)
+        return self._ge(self.mul_int(running, beta_den), threshold)
 
-    @classmethod
-    def wants_raise(cls, sums, weight, level, extra_shift=None):
+    def wants_raise(self, sums, weight, level, extra_shift=None):
         """:func:`~repro.core.vertex_logic.wants_raise_scaled`,
         limb-wise: ``sums << (level+1) <= weight << extra_shift``."""
-        lhs = cls.shl(sums, level + 1)
-        rhs = weight if extra_shift is None else cls.shl(weight, extra_shift)
-        return ~cls.gt(lhs, rhs)
+        lhs = self.shl(sums, level + 1)
+        rhs = weight if extra_shift is None else self.shl(weight, extra_shift)
+        return ~self.gt(lhs, rhs)
+
+
+#: The ~128-bit lane (headroom ``2**93``, 31-bit multipliers).
+TwoLimbOps = LimbOps("two-limb", 2)
+
+#: The ~192-bit lane (headroom ``2**124``, 62-bit multipliers).
+ThreeLimbOps = LimbOps("three-limb", 3)
 
 
 _LANE_OPS = {
@@ -900,16 +634,15 @@ def finalize_lane_instance(
 ) -> CoverResult:
     """Convert one instance's lane state back to exact Fractions.
 
-    With :data:`FUSED_SWEEPS` active, the per-edge gcd normalization of
-    the dual packing runs as one vectorized ``np.gcd`` pass (when the
-    values fit int64) and the Fractions assemble from the already-
-    reduced pairs; the scalar loop is the fallback and the pre-fusion
-    baseline.
+    When the scale and the duals fit int64, the per-edge gcd
+    normalization of the dual packing runs as one vectorized ``np.gcd``
+    pass and the Fractions assemble from the already-reduced pairs;
+    wider values take the scalar loop.
     """
     scale = raw["scale"]
     delta = raw["delta"]
     dual = None
-    if FUSED_SWEEPS and _np is not None and scale.bit_length() < 63:
+    if scale.bit_length() < 63:
         try:
             delta_arr = _np.array(delta, dtype=_np.int64)
         except OverflowError:
@@ -953,8 +686,6 @@ def fused_pack_arena(hypergraphs) -> BatchArena | None:
     in a way numpy cannot batch-convert (mixed arities fall back to
     the scalar packer) so callers can keep one code path.
     """
-    if _np is None:
-        return None
     int64 = _np.int64
     vertex_offset = [0]
     edge_offset = [0]
@@ -1013,19 +744,20 @@ class LaneRun:
 
     ``K >= 1`` instances are packed into disjoint global id ranges and
     advanced together, one vectorized sweep per iteration; ``ops`` is
-    the lane backend (:class:`Int64Ops` or :class:`TwoLimbOps`) and
-    ``limits`` the per-instance scale ceilings from the lane's
-    headroom bound.  An instance whose dynamically growing scale would
-    cross its ceiling is *spilled*: the engine rolls the instance back
-    to the interrupted sweep's start, extracts that exact state as a
-    lane-neutral **carry** (the second element of :meth:`solve`'s
-    result maps spilled positions to carries), and the caller resumes
-    it on a wider lane via ``carries=`` — from the carried iteration,
-    not from iteration 0.  ``carries[k]`` (when given) replaces
-    instance ``k``'s iteration-0 state with the carried mid-run state;
-    per-instance iteration offsets keep iteration and round accounting
-    identical to an uninterrupted run.  Everything, resumed or not, is
-    bit-identical to the scalar fastpath executor.
+    the lane backend (:class:`Int64Ops`, :data:`TwoLimbOps` or
+    :data:`ThreeLimbOps`) and ``limits`` the per-instance scale
+    ceilings from the lane's headroom bound.  An instance whose
+    dynamically growing scale would cross its ceiling is *spilled*:
+    the engine rolls the instance back to the interrupted sweep's
+    start, extracts that exact state as a lane-neutral **carry** (the
+    second element of :meth:`solve`'s result maps spilled positions
+    to carries), and the caller resumes it on a wider lane via
+    ``carries=`` — from the carried iteration, not from iteration 0.
+    ``carries[k]`` (when given) replaces instance ``k``'s iteration-0
+    state with the carried mid-run state; per-instance iteration
+    offsets keep iteration and round accounting identical to an
+    uninterrupted run.  Everything, resumed or not, is bit-identical
+    to the scalar fastpath executor.
     """
 
     def __init__(
@@ -1039,7 +771,6 @@ class LaneRun:
         carries=None,
         arena: BatchArena | None = None,
         transpose=None,
-        fused: bool | None = None,
     ):
         self.config = config
         self.spec = config.schedule == "spec"
@@ -1047,7 +778,6 @@ class LaneRun:
         self.hypergraphs = hypergraphs
         self.states = states
         self.ops = ops
-        self.fused = FUSED_SWEEPS if fused is None else fused
         if carries is None:
             carries = [None] * self.count
         if arena is None:
@@ -1055,8 +785,7 @@ class LaneRun:
             # packing (a worker's shipped shard sliced per lane via
             # :func:`repro.hypergraph.csr.slice_arena`) skip the
             # re-pack; it must equal ``pack_arena(hypergraphs)``.
-            if self.fused:
-                arena = fused_pack_arena(hypergraphs)
+            arena = fused_pack_arena(hypergraphs)
             if arena is None:
                 arena = pack_arena(hypergraphs)
         self.arena = arena
@@ -1114,7 +843,7 @@ class LaneRun:
             beta_den.append(beta.denominator)
             z_caps.append(config.z(hypergraph.rank))
             weights = hypergraph.weights
-            if self.fused and hypergraph.weights_all_int:
+            if hypergraph.weights_all_int:
                 # Integer weights multiply exactly — skip the per-value
                 # integrality verification of ``exact_scaled_int`` and
                 # fold the constant ``(beta_den - beta_num) * scale``
@@ -1291,7 +1020,7 @@ class LaneRun:
         ]
         self.live_e = _np.nonzero(self.live_edge)[0]
 
-        # -- fused-sweep caches ---------------------------------------
+        # -- sweep caches ---------------------------------------------
         # The live-subset views (and the vertex view's live-edge mask)
         # only change when a live set changes — joins, coverage,
         # spills, terminations.  Deep runs spend most sweeps with no
@@ -1301,10 +1030,10 @@ class LaneRun:
         self._vertex_view_cache = None
         self._vertex_mask_cache = None
         self._any_inc = False
-        # Scratch flag arrays for the fused dedup in the coverage
-        # phases: scatter-mark / flatnonzero / clear replaces the
-        # sort inside ``np.unique`` (both produce ascending unique
-        # ids).  Invariant: all-False between sweeps.
+        # Scratch flag arrays for the dedup in the coverage phases:
+        # scatter-mark / flatnonzero / clear yields ascending unique ids
+        # without the sort ``np.unique`` would pay.  Invariant:
+        # all-False between sweeps.
         self._edge_seen = _np.zeros(total_e, dtype=bool)
         self._vertex_seen = _np.zeros(total_v, dtype=bool)
 
@@ -1338,11 +1067,10 @@ class LaneRun:
 
         Touches only the cells of edges that are still uncovered — the
         live sets shrink fast, and full-arena kernels would dominate
-        the tail sweeps.  Fused runs cache the view across sweeps and
-        rebuild only when the live-edge set changed; unfused runs (the
-        benchmark baseline) rebuild on every call.
+        the tail sweeps.  The view is cached across sweeps and rebuilt
+        only when the live-edge set changed.
         """
-        if self.fused and self._edge_view_cache is not None:
+        if self._edge_view_cache is not None:
             return self._edge_view_cache
         live = self.live_e
         lengths = self.e_lengths[live]
@@ -1352,15 +1080,13 @@ class LaneRun:
         cells = self.e_cells[
             self._expand_segments(live, self.e_starts, self.e_lengths)
         ]
-        view = (live, starts, cells)
-        if self.fused:
-            self._edge_view_cache = view
-        return view
+        self._edge_view_cache = (live, starts, cells)
+        return self._edge_view_cache
 
     def _vertex_view(self):
         """Live-vertex subset CSR over the incidence layout (cached
-        across sweeps like :meth:`_edge_view` when fused)."""
-        if self.fused and self._vertex_view_cache is not None:
+        across sweeps like :meth:`_edge_view`)."""
+        if self._vertex_view_cache is not None:
             return self._vertex_view_cache
         live = self.live_v
         lengths = self.v_lengths[live]
@@ -1370,10 +1096,8 @@ class LaneRun:
         cells = self.v_cells[
             self._expand_segments(live, self.v_starts, self.v_lengths)
         ]
-        view = (live, starts, cells)
-        if self.fused:
-            self._vertex_view_cache = view
-        return view
+        self._vertex_view_cache = (live, starts, cells)
+        return self._vertex_view_cache
 
     def _live_vertex_sums(self, edge_values, vertex_view):
         """Per-live-vertex sums of an edge value array over live
@@ -1381,20 +1105,17 @@ class LaneRun:
         ops = self.ops
         live, starts, cells = vertex_view
         if not live.size:
-            return ops.empty()
+            return ops.from_list([])
         # Gather first, mask second: O(live cells), not O(total edges).
-        # Fused runs reuse the mask while both the view and the
-        # live-edge set are unchanged (identity check on the view's
-        # cells catches a rebuilt view; _touch_edges catches coverage).
-        if self.fused:
-            cached = self._vertex_mask_cache
-            if cached is not None and cached[0] is cells:
-                mask = cached[1]
-            else:
-                mask = self.live_edge[cells]
-                self._vertex_mask_cache = (cells, mask)
+        # The mask is reused while both the view and the live-edge set
+        # are unchanged (identity check on the view's cells catches a
+        # rebuilt view; _touch_edges catches coverage).
+        cached = self._vertex_mask_cache
+        if cached is not None and cached[0] is cells:
+            mask = cached[1]
         else:
             mask = self.live_edge[cells]
+            self._vertex_mask_cache = (cells, mask)
         masked = ops.mul_mask(ops.gather(edge_values, cells), mask)
         return ops.reduceat(masked, starts)
 
@@ -1465,14 +1186,10 @@ class LaneRun:
         cells = self.v_cells[
             self._expand_segments(joiners, self.v_starts, self.v_lengths)
         ]
-        uncovered = cells[~self.covered[cells]]
-        if self.fused:
-            seen = self._edge_seen
-            seen[uncovered] = True
-            newly = _np.flatnonzero(seen)
-            seen[newly] = False
-        else:
-            newly = _np.unique(uncovered)
+        seen = self._edge_seen
+        seen[cells[~self.covered[cells]]] = True
+        newly = _np.flatnonzero(seen)
+        seen[newly] = False
         if newly.size:
             self.covered[newly] = True
             self.live_edge[newly] = False
@@ -1489,13 +1206,10 @@ class LaneRun:
         ]
         members = cells[~self.in_cover[cells]]
         _np.subtract.at(self.uncovered_count, members, 1)
-        if self.fused:
-            seen = self._vertex_seen
-            seen[members] = True
-            candidates = _np.flatnonzero(seen)
-            seen[candidates] = False
-        else:
-            candidates = _np.unique(members)
+        seen = self._vertex_seen
+        seen[members] = True
+        candidates = _np.flatnonzero(seen)
+        seen[candidates] = False
         terminated = candidates[
             (self.uncovered_count[candidates] == 0)
             & ~self.dead[candidates]
@@ -1519,7 +1233,7 @@ class LaneRun:
         live, starts, cells = edge_view
         if not live.size:
             return False
-        if self.fused and not self._any_inc:
+        if not self._any_inc:
             # No vertex leveled up this sweep, so every segment total
             # below is zero — skip the reduceat (most deep-run sweeps).
             return False
@@ -1567,20 +1281,8 @@ class LaneRun:
                 if not halving.size:
                     return True
         self.halving_count[halving] += counts
-        if self.fused:
-            ops.halve_at(self.bid, halving, counts)
-            ops.halve_at(self.raised, halving, counts)
-        else:
-            ops.scatter(
-                self.bid,
-                halving,
-                ops.shr_exact(ops.gather(self.bid, halving), counts),
-            )
-            ops.scatter(
-                self.raised,
-                halving,
-                ops.shr_exact(ops.gather(self.raised, halving), counts),
-            )
+        ops.halve_at(self.bid, halving, counts)
+        ops.halve_at(self.raised, halving, counts)
         return spilled_now
 
     def _raise_and_grow(self, edge_view, vertex_view):
@@ -1603,10 +1305,7 @@ class LaneRun:
                         self.alpha_num_e[raising],
                     ),
                 )
-            if self.fused:
-                ops.iadd_gather(self.delta, live, self.bid)
-            else:
-                ops.iadd(self.delta, live, ops.gather(self.bid, live))
+            ops.iadd_gather(self.delta, live, self.bid)
         vertices = vertex_view[0]
         if vertices.size:
             ops.iadd(
@@ -1698,8 +1397,8 @@ class LaneRun:
     def _extract_carry(self, instance: int, iterations: int) -> SolveState:
         """The instance's exact sweep-start state, lane-neutral.
 
-        Value arrays cross the lane boundary as Python ints (two-limb
-        pairs reconstruct, int64 words widen losslessly), so any wider
+        Value arrays cross the lane boundary as Python ints (limb
+        tuples reconstruct, int64 words widen losslessly), so any wider
         lane — or the scalar big-int loop — can resume from iteration
         ``iterations`` with identical bits.
         """
@@ -1793,7 +1492,7 @@ class LaneRun:
                 self._bump_halt(self.inst_v[terminated], round_a, 2)
                 # The refilter is the identity when nothing joined or
                 # terminated; skipping it keeps the cached vertex view.
-                if joiners.size or terminated.size or not self.fused:
+                if joiners.size or terminated.size:
                     self.live_v = self.live_v[
                         ~self.in_cover[self.live_v] & ~self.dead[self.live_v]
                     ]
@@ -1814,7 +1513,7 @@ class LaneRun:
                 self._raise_and_grow(edge_view, self._vertex_view())
                 terminated = self._apply_coverage(newly)
                 self._bump_halt(self.inst_v[terminated], round_a, 2)
-                if joiners.size or terminated.size or not self.fused:
+                if joiners.size or terminated.size:
                     self.live_v = self.live_v[
                         ~self.in_cover[self.live_v] & ~self.dead[self.live_v]
                     ]

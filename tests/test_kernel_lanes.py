@@ -3,13 +3,15 @@
 PR 3 moved the batched arena's guarded int64 sweep machinery into the
 shared kernel layer (:mod:`repro.core.kernels`), added the two-limb
 ~128-bit lane, and gave the single-instance fastpath executor a
-machine-width iteration loop with a spill ladder (int64 -> two-limb ->
-bigint).  These tests pin:
+machine-width iteration loop with a spill ladder, later widened by the
+three-limb lane (int64 -> two-limb -> three-limb -> bigint).  These
+tests pin:
 
 * lane-forcing differential equality: every lane (``lane="int64"`` /
-  ``"two-limb"`` / ``"bigint"``) produces the same covers, duals,
-  iterations, rounds, levels and statistics as the Fraction-core
-  lockstep executor, on structured and hypothesis instance mixes;
+  ``"two-limb"`` / ``"three-limb"`` / ``"bigint"``) produces the same
+  covers, duals, iterations, rounds, levels and statistics as the
+  Fraction-core lockstep executor, on structured and hypothesis
+  instance mixes;
 * lane *engagement*: eligible instances actually run on the expected
   lane (reported via ``CoverResult.lane``), and mid-run headroom
   exhaustion spills down the ladder without changing a single bit;
@@ -21,7 +23,9 @@ bigint).  These tests pin:
 * the ``scaled_fraction`` capability probe: when the CPython slot
   layout fast path is unavailable, results degrade to the public
   constructor, never to wrong values;
-* the two-limb limb arithmetic itself, against plain Python integers.
+* the limb arithmetic itself (both limb lanes, one ``LimbOps`` class),
+  against plain Python integers: worked examples plus a property test
+  over every op the sweep engine calls.
 """
 
 from __future__ import annotations
@@ -724,6 +728,151 @@ def test_three_limb_roundtrip_and_ops():
     sums = ThreeLimbOps.reduceat(cells, starts)
     assert ThreeLimbOps.tolist_slice(sums, slice(None)) == [
         (1 << 100) + (1 << 64) - 1, 13, 1 << 120
+    ]
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "ops, headroom, factor_bits",
+    [(TwoLimbOps, 93, 31), (ThreeLimbOps, 124, 62)],
+    ids=["two-limb", "three-limb"],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_limb_ops_match_python_ints(ops, headroom, factor_bits, data):
+    """Every op :class:`~repro.core.kernels.LaneRun` calls on a limb lane
+    equals Python-int arithmetic while values and products stay under
+    the lane's headroom (and multipliers under its budget)."""
+    import numpy as np
+
+    size = data.draw(st.integers(1, 10), label="size")
+
+    def ints(bits, low=0):
+        # All-ones values saturate every word: the carry chains' worst case.
+        saturated = st.integers(1, bits).map(lambda width: (1 << width) - 1)
+        values = st.integers(low, (1 << bits) - 1) | saturated
+        return data.draw(st.lists(values, min_size=size, max_size=size))
+
+    def back(value, sl=slice(None)):
+        return ops.tolist_slice(value, sl)
+
+    def int64s(values):
+        return np.array(values, dtype=np.int64)
+
+    xs, ys = ints(headroom - 1), ints(headroom - 1)
+    x, y = ops.from_list(xs), ops.from_list(ys)
+    start = data.draw(st.integers(0, size))
+    window = slice(start, data.draw(st.integers(start, size)))
+    assert back(x) == xs
+    assert back(x, window) == xs[window]
+
+    # Index sets are unique, like LaneRun's live-id arrays.
+    picks = data.draw(st.lists(st.integers(0, size - 1), unique=True))
+    idx = int64s(picks)
+    assert back(ops.gather(x, idx)) == [xs[i] for i in picks]
+    scattered = ops.from_list(xs)
+    ops.scatter(scattered, idx, ops.gather(y, idx))
+    assert back(scattered) == [
+        ys[i] if i in picks else v for i, v in enumerate(xs)
+    ]
+    summed = [v + ys[i] if i in picks else v for i, v in enumerate(xs)]
+    added = ops.from_list(xs)
+    ops.iadd(added, idx, ops.gather(y, idx))
+    assert back(added) == summed
+    added = ops.from_list(xs)
+    ops.iadd_gather(added, idx, y)
+    assert back(added) == summed
+
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    assert back(ops.mul_mask(x, mask)) == [
+        v if keep else 0 for v, keep in zip(xs, mask.tolist())
+    ]
+    assert back(ops.bit_or(x, y)) == [a | b for a, b in zip(xs, ys)]
+    same = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    zs = [a if eq else b for a, b, eq in zip(xs, ys, same)]
+    z = ops.from_list(zs)
+    assert ops.gt(x, z).tolist() == [a > b for a, b in zip(xs, zs)]
+    assert ops._ge(x, z).tolist() == [a >= b for a, b in zip(xs, zs)]
+    nonzero = ints(headroom - 1, low=1)
+    assert ops.trailing_zeros(ops.from_list(nonzero)).tolist() == [
+        (v & -v).bit_length() - 1 for v in nonzero
+    ]
+
+    # Segment sums of up to 10 cells below 2**(headroom - 4).
+    cells = ints(headroom - 4)
+    starts = sorted({0} | set(data.draw(st.lists(st.integers(0, size - 1)))))
+    bounds = starts + [size]
+    assert back(ops.reduceat(ops.from_list(cells), int64s(starts))) == [
+        sum(cells[a:b]) for a, b in zip(bounds, bounds[1:])
+    ]
+
+    # Multipliers per element and scalar: any width up to the lane's
+    # budget, widths around the 31-bit split point, and the full budget
+    # (62 bits takes the three-limb split path); each budget also runs
+    # with every factor in its top half.
+    widths = st.integers(1, factor_bits) | st.sampled_from([30, 31, 32, 33])
+    for budget in (min(data.draw(widths, label="factor bits"), factor_bits), factor_bits):
+        small = ints(headroom - budget)
+        top_half = [(1 << budget) - 1 - f for f in ints(max(budget - 1, 1))]
+        for factors in (ints(budget), top_half):
+            product = ops.mul_int(ops.from_list(small), int64s(factors))
+            assert back(product) == [v * c for v, c in zip(small, factors)]
+            product = ops.mul_int(ops.from_list(small), np.int64(factors[0]))
+            assert back(product) == [v * factors[0] for v in small]
+
+    # Tightness around the boundary: threshold = running * beta_den +
+    # {-1, 0, +1}; beta_den >= 1 like a beta denominator.
+    dens = ints(factor_bits, low=1)
+    running = ints(headroom - factor_bits - 1)
+    offsets = data.draw(
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=size, max_size=size)
+    )
+    thresholds = [
+        max(0, r * d + o) for r, d, o in zip(running, dens, offsets)
+    ]
+    assert ops.is_tight(
+        ops.from_list(running), int64s(dens), ops.from_list(thresholds)
+    ).tolist() == [r * d >= t for r, d, t in zip(running, dens, thresholds)]
+
+    # Shifts: shl, its exact inverse, the in-place slice and halving forms.
+    shift_bits = data.draw(st.integers(1, headroom - 1), label="shift")
+    counts = data.draw(
+        st.lists(st.integers(0, shift_bits), min_size=size, max_size=size)
+    )
+    bases = ints(headroom - shift_bits)
+    shifted = [v << c for v, c in zip(bases, counts)]
+    assert back(ops.shl(ops.from_list(bases), int64s(counts))) == shifted
+    assert back(ops.shr_exact(ops.from_list(shifted), int64s(counts))) == bases
+    halved = ops.from_list(shifted)
+    ops.halve_at(halved, idx, int64s([counts[i] for i in picks]))
+    assert back(halved) == [
+        bases[i] if i in picks else v for i, v in enumerate(shifted)
+    ]
+    moved = ops.from_list(bases)
+    ops.ishl_slice(moved, window, shift_bits)
+    assert back(moved) == [
+        v << shift_bits if window.start <= i < window.stop else v
+        for i, v in enumerate(bases)
+    ]
+
+    # Raise test: ``sums << (level+1) <= weight << extra_shift`` with
+    # ties and near-ties, with and without the compact schedule's shift.
+    levels = data.draw(
+        st.lists(st.integers(0, 29), min_size=size, max_size=size)
+    )
+    extras = [data.draw(st.integers(0, level + 1)) for level in levels]
+    sums = ints(headroom - 32)
+    weights = [
+        max(0, (s << (level + 1 - e)) + o)
+        for s, level, e, o in zip(sums, levels, extras, offsets)
+    ]
+    raise_args = (ops.from_list(sums), ops.from_list(weights), int64s(levels))
+    assert ops.wants_raise(*raise_args).tolist() == [
+        s << (level + 1) <= w for s, w, level in zip(sums, weights, levels)
+    ]
+    assert ops.wants_raise(*raise_args, int64s(extras)).tolist() == [
+        s << (level + 1) <= w << e
+        for s, w, level, e in zip(sums, weights, levels, extras)
     ]
 
 
