@@ -43,7 +43,7 @@ def require_cover(hypergraph: Hypergraph, vertices: Iterable[int]) -> set[int]:
     """
     chosen = require_vertex_subset(hypergraph, vertices)
     for edge_id, edge in enumerate(hypergraph.edges):
-        if not chosen.intersection(edge):
+        if chosen.isdisjoint(edge):
             raise CertificateError(
                 f"hyperedge {edge_id} = {edge} is not covered by the solution"
             )

@@ -33,6 +33,7 @@ __all__ = [
     "dual_feasible",
     "dual_slack",
     "vertex_load",
+    "require_dual_edge_ids",
 ]
 
 Numeric = Rational | int | float
@@ -41,7 +42,8 @@ Numeric = Rational | int | float
 def _as_fraction(value: Numeric, what: str) -> Fraction:
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
+        # OverflowError: Fraction(float("inf")); NaN raises ValueError.
         raise InvalidInstanceError(f"{what} {value!r} is not numeric") from error
 
 
@@ -110,15 +112,43 @@ def dual_slack(
     )
 
 
-def dual_feasible(
+def require_dual_edge_ids(
     hypergraph: Hypergraph, delta: Mapping[int, Numeric]
-) -> bool:
-    """Whether ``delta`` is a feasible edge packing (exact arithmetic)."""
+) -> None:
+    """Raise unless every key of ``delta`` is a hyperedge id of ``hypergraph``.
+
+    Ids must be ``int`` (``bool`` excluded), as vertex ids must be in
+    :func:`~repro.hypergraph.validation.require_vertex_subset`: a
+    ``0.0`` or ``True`` key would otherwise alias edge ``0`` or ``1``.
+
+    Raises
+    ------
+    InvalidInstanceError
+        Naming the first offending key in mapping order.
+    """
+    num_edges = hypergraph.num_edges
     for edge_id in delta:
-        if not 0 <= edge_id < hypergraph.num_edges:
+        if not isinstance(edge_id, int) or isinstance(edge_id, bool):
+            raise InvalidInstanceError(
+                f"delta references non-int hyperedge id {edge_id!r}"
+            )
+        if not 0 <= edge_id < num_edges:
             raise InvalidInstanceError(
                 f"delta references unknown hyperedge {edge_id}"
             )
+
+
+def dual_feasible(
+    hypergraph: Hypergraph, delta: Mapping[int, Numeric]
+) -> bool:
+    """Whether ``delta`` is a feasible edge packing (exact arithmetic).
+
+    The reference checker: one :class:`Fraction` sum per vertex.
+    :meth:`ApproximationCertificate.verify
+    <repro.lp.duality.ApproximationCertificate.verify>` decides the
+    same question in integers and is tested against this function.
+    """
+    require_dual_edge_ids(hypergraph, delta)
     if any(
         _as_fraction(value, f"delta({edge})") < 0
         for edge, value in delta.items()

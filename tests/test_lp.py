@@ -59,6 +59,13 @@ class TestPrimal:
         assert not primal_feasible(square, [2, -1, 1, 1])
         assert not primal_feasible(square, [1, 1])
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_primal_infinite_value_rejected(self, square, value):
+        with pytest.raises(InvalidInstanceError, match="not numeric"):
+            primal_value(square, [value, 0, 1, 0])
+        with pytest.raises(InvalidInstanceError, match="not numeric"):
+            primal_feasible(square, [value, 0, 1, 0])
+
 
 class TestDual:
     def test_dual_value(self):
@@ -83,6 +90,19 @@ class TestDual:
     def test_dual_unknown_edge_rejected(self, square):
         with pytest.raises(InvalidInstanceError):
             dual_feasible(square, {17: 1})
+
+    @pytest.mark.parametrize("edge_id", ["0", 0.0, True, None])
+    def test_dual_non_int_edge_id_rejected(self, square, edge_id):
+        # 0.0 and True would otherwise alias edges 0 and 1.
+        with pytest.raises(InvalidInstanceError, match="non-int hyperedge id"):
+            dual_feasible(square, {edge_id: Fraction(1, 2)})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_dual_infinite_value_rejected(self, square, value):
+        with pytest.raises(InvalidInstanceError, match="not numeric"):
+            dual_value({0: value})
+        with pytest.raises(InvalidInstanceError, match="not numeric"):
+            dual_feasible(square, {0: value})
 
 
 class TestBetaTight:
@@ -127,6 +147,40 @@ class TestCertificate:
                 square,
                 {0, 1, 2, 3},
                 {0: Fraction(1, 100)},
+                2,
+                Fraction(1),
+            )
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_verify_rejects_infinite_dual(self, square, value):
+        with pytest.raises(InvalidInstanceError, match="not numeric"):
+            ApproximationCertificate.verify(
+                square, {0, 1, 2, 3}, {0: 1, 1: value}, 2, Fraction(1)
+            )
+
+    @pytest.mark.parametrize("edge_id", ["0", 0.0, True, None])
+    def test_verify_rejects_non_int_edge_id(self, square, edge_id):
+        with pytest.raises(InvalidInstanceError, match="non-int hyperedge id"):
+            ApproximationCertificate.verify(
+                square, {0, 1, 2, 3}, {edge_id: 1}, 2, Fraction(1)
+            )
+
+    def test_verify_fraction_weights(self):
+        # load(v) * w.den <= L * w.num: vertex 1 carries 1/2 + 1/3 = 5/6.
+        hypergraph = Hypergraph(
+            3, [(0, 1), (1, 2)], weights=[Fraction(1, 2), Fraction(5, 6), 1]
+        )
+        delta = {0: Fraction(1, 2), 1: Fraction(1, 3)}
+        certificate = ApproximationCertificate.verify(
+            hypergraph, {1}, delta, 2, Fraction(1)
+        )
+        assert certificate.dual_total == Fraction(5, 6)
+        assert certificate.cover_weight == Fraction(5, 6)
+        with pytest.raises(CertificateError, match="infeasible"):
+            ApproximationCertificate.verify(
+                hypergraph.reweighted([Fraction(1, 2), Fraction(4, 5), 1]),
+                {1},
+                delta,
                 2,
                 Fraction(1),
             )
