@@ -170,8 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "the directory is a packed corpus catalog (see 'pack'): "
-            "solve its arena segments via zero-copy mmap instead of "
-            "parsing instance files"
+            "solve its arena segments in-process via zero-copy mmap "
+            "instead of parsing instance files (not combinable with "
+            "--jobs, --stream or --sequential)"
         ),
     )
     batch.add_argument(
@@ -506,6 +507,16 @@ def _dispatch_batch_store(arguments: argparse.Namespace) -> int:
     and each segment is dropped before the next is mapped."""
     from repro.core.corpus import solve_corpus
 
+    for flag, given in (
+        ("--jobs", arguments.jobs is not None),
+        ("--stream", arguments.stream),
+        ("--sequential", arguments.sequential),
+    ):
+        if given:
+            raise InvalidInstanceError(
+                f"{flag} cannot be combined with --store: a corpus is "
+                f"solved in-process, one segment at a time"
+            )
     config = AlgorithmConfig(
         epsilon=arguments.epsilon, schedule=arguments.schedule
     )

@@ -62,9 +62,10 @@ Every fired fault is counted by kind (:meth:`snapshot`), and
 :meth:`from_spec` parses the ``repro-cover serve --fault-plan``
 ``key=value`` grammar.
 
-Injection is wired through ``parallel.FAULT_PLAN`` (the static sharded
-executor), ``BatchSession(fault_plan=...)`` / the session's settable
-``fault_plan`` attribute (the streaming scheduler), and
+Injection is wired through ``BatchSession(fault_plan=...)`` / the
+session's settable ``fault_plan`` attribute (the one scheduler that
+dispatches to the pool), ``parallel.FAULT_PLAN`` (handed to the
+session behind each static ``jobs=N`` call), and
 ``CoverServer(fault_plan=...)`` (server-side response faults).  Plans
 attached through the API are always live; only the CLI flag is gated
 behind ``REPRO_CHAOS=1`` so production invocations cannot enable

@@ -37,11 +37,12 @@ submission order.  Parallelism is purely an execution detail:
   so ``jobs=N`` equals ``jobs=1`` equals K scalar runs bit for bit,
   in submission order; the solving shard is recorded in
   ``CoverResult.worker``;
-* **crash fallback** — a worker that dies (OOM-killed, segfaulted)
-  breaks the pool; affected shards are re-solved in-process and the
-  pool is rebuilt lazily for the next call.  Algorithmic exceptions
-  (bad instances) propagate unchanged, exactly as ``jobs=1`` would
-  raise them.
+* **supervised dispatch** — the shards run through a
+  :class:`~repro.core.stream.BatchSession`, the only code that
+  submits to the pool: a dead, hung or miscommunicating worker costs
+  a retry (then an in-process re-solve), never a result.  Algorithmic
+  exceptions (bad instances) propagate unchanged, exactly as
+  ``jobs=1`` would raise them.
 
 The pool is persistent across calls (process spawn costs would swamp
 small batches) and sized on first use; :func:`shutdown_pool` tears it
@@ -55,7 +56,7 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -98,11 +99,10 @@ __all__ = [
 #: Test hook: force the pickle transport even when shared memory works.
 _FORCE_PICKLE = False
 
-#: Optional :class:`~repro.core.faults.FaultPlan` consulted by the
-#: static sharded executor: each shard dispatch draws one worker
-#: directive from it (the streaming session carries its own plan
-#: instead).  Replaces the old ``_CRASH_WORKERS`` boolean with a
-#: seeded, auditable mechanism covering kill/hang/slow.
+#: Optional :class:`~repro.core.faults.FaultPlan` handed to the
+#: session behind every :func:`run_fastpath_batch_parallel` call, where
+#: each dispatch draws from it like any session plan (a streaming
+#: session built directly carries its own plan instead).
 FAULT_PLAN: FaultPlan | None = None
 
 
@@ -792,9 +792,9 @@ def shard_payload(arena, shard, config, verify, *, fault=None):
     budgets to force spills inside workers).  ``fault`` is an optional
     worker directive already drawn from a
     :class:`~repro.core.faults.FaultPlan` — the decision is made (and
-    logged) by the caller, the worker merely executes it.  Shared by
-    the static sharded executor below and the streaming session
-    (:mod:`repro.core.stream`), whose shards arrive pre-packed.
+    logged) by the caller, the worker merely executes it.  Called by
+    the streaming session (:mod:`repro.core.stream`), the only code
+    that submits to the pool.
     """
     import repro.core.batch as batch_module
     import repro.core.kernels as kernels_module
@@ -817,13 +817,6 @@ def shard_payload(arena, shard, config, verify, *, fault=None):
     }, block
 
 
-def _make_payload(shard: int, indices, instances, config, verify):
-    """Build one worker payload; returns ``(payload, shm_block|None)``."""
-    arena = pack_arena([instances[index] for index in indices])
-    fault = FAULT_PLAN.worker_fault() if FAULT_PLAN is not None else None
-    return shard_payload(arena, shard, config, verify, fault=fault)
-
-
 def run_fastpath_batch_parallel(
     hypergraphs,
     config: AlgorithmConfig | None = None,
@@ -837,111 +830,43 @@ def run_fastpath_batch_parallel(
     (``jobs=1``) and hence to K solo fastpath runs — sharding only
     changes which process runs an instance's arena, never its bits.
     Results come back in submission order with ``CoverResult.worker``
-    naming the shard that solved each instance; ``jobs <= 0`` sizes
-    the pool to the machine.  Shards whose worker process dies are
-    transparently re-solved in-process.
+    naming the slot that solved each instance; ``jobs <= 0`` sizes
+    the pool to the machine.
+
+    The LPT shards are packed here and admitted, in one step and with
+    stealing off, to a :class:`~repro.core.stream.BatchSession`, so
+    shard ``i`` runs on slot ``i`` and every wait on a worker is
+    supervised: a solve deadline that kills a hung worker, retry with
+    backoff, the circuit breaker and the in-process fallback.
     """
+    from repro.core.stream import BatchSession
+
     config = config or AlgorithmConfig()
     instances = list(hypergraphs)
     jobs = _resolve_jobs(jobs)
     if jobs <= 1 or len(instances) <= 1:
         return run_fastpath_batch(instances, config, verify=verify)
 
-    shards = partition_shards(
-        instances,
+    costs = [corrected_cost(instance, config) for instance in instances]
+    shards = partition_shards(instances, config, jobs, costs=costs)
+    packed = []
+    for indices in shards:
+        members = [instances[index] for index in indices]
+        packed.append(
+            (pack_arena(members), members, [costs[index] for index in indices])
+        )
+    with BatchSession(
         config,
-        jobs,
-        costs=[corrected_cost(instance, config) for instance in instances],
-    )
-    if len(shards) <= 1:
-        return run_fastpath_batch(instances, config, verify=verify)
-
-    results: list[CoverResult | None] = [None] * len(instances)
-    payloads = []
-    blocks = []
-    futures: list = []
-    failed: list[int] = []
-    try:
-        # Payload building sits inside the same try/finally as the
-        # futures: an interrupt mid-loop must still unlink the
-        # shared-memory segments already created for earlier shards.
-        for shard, indices in enumerate(shards):
-            payload, block = _make_payload(
-                shard, indices, instances, config, verify
-            )
-            payloads.append(payload)
-            if block is not None:
-                blocks.append(block)
-
-        pool = _get_pool(jobs)
-        futures = [
-            (shard, pool.submit(_solve_shard, payload))
-            for shard, payload in enumerate(payloads)
-        ]
-        for shard, future in futures:
-            try:
-                shard_id, shard_results, observed, faulted = future.result()
-            except (BrokenExecutor, ArenaTransportError, WorkerResultError):
-                # A dead worker breaks the pool; a damaged transport
-                # (vanished or corrupted segment) leaves it healthy but
-                # the shard unsolved.  Both are scheduling accidents:
-                # recover in-process, never surface them to the caller.
-                failed.append(shard)
-                continue
-            try:
-                decoded = [
-                    _decode_result(wire, shard_id)
-                    for wire in shard_results
-                ]
-            except WorkerResultError:
-                failed.append(shard)
-                continue
-            for index, result, seconds in zip(
-                shards[shard_id], decoded, observed
-            ):
-                results[index] = result
-                if not faulted:
-                    # An injected fault directive distorted this
-                    # shard's wall time; keep it out of the EMA.
-                    _observe_instance(
-                        instances[index], config, result, seconds
-                    )
-    except BrokenExecutor:  # pragma: no cover - pool died at submit time
-        failed = [
-            shard for shard in range(len(shards))
-            if any(results[index] is None for index in shards[shard])
-        ]
-    finally:
-        # Settle every outstanding future before unlinking: if one
-        # shard's result raised (a worker-side algorithm error
-        # propagating to the caller), still-queued workers may not
-        # have read their segments yet — unlinking under them would
-        # turn one instance's error into spurious FileNotFoundErrors
-        # and leave never-retrieved exceptions in the persistent pool.
-        for _, future in futures:
-            if not future.cancel():
-                try:
-                    future.exception()
-                except BaseException:  # noqa: BLE001 - settle only
-                    pass
-        for block in blocks:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-
-    if failed:
-        # The pool is unusable after a worker death; drop it (the next
-        # call rebuilds it) and finish the affected shards in-process.
-        shutdown_pool()
-        for shard in failed:
-            indices = shards[shard]
-            recovered = run_fastpath_batch(
-                [instances[index] for index in indices],
-                config,
-                verify=verify,
-            )
-            for index, result in zip(indices, recovered):
-                results[index] = result
-    return results  # type: ignore[return-value]
+        jobs=jobs,
+        verify=verify,
+        steal=False,
+        record_schedule=False,
+        fault_plan=FAULT_PLAN,
+    ) as session:
+        groups = session._admit_packed(packed, config)
+    tickets = {
+        index: ticket
+        for indices, group in zip(shards, groups)
+        for index, ticket in zip(indices, group)
+    }
+    return [tickets[index].result() for index in range(len(instances))]

@@ -172,20 +172,23 @@ def solve_mwhvc_batch(
         ``1`` (the default) runs the arena in-process, ``N > 1``
         shards the batch across a persistent pool of ``N`` workers
         (cost-model-balanced, shared-memory transport), and ``0`` (or
-        any non-positive value) sizes the pool to the machine.
-        Results are identical for every ``jobs`` value — parallelism
-        only shows up in ``CoverResult.worker`` and wall-clock time.
+        any non-positive value) sizes the pool to the machine.  The
+        shards run through a supervised
+        :class:`~repro.core.stream.BatchSession`, so a crashed or hung
+        worker costs a retry, never a result.  Results are identical
+        for every ``jobs`` value — parallelism only shows up in
+        ``CoverResult.worker`` and wall-clock time.
     stream:
-        Route the batch through a streaming
-        :class:`~repro.core.stream.BatchSession` (admission one
-        instance at a time, micro-batched shards, work-stealing
-        scheduler) instead of the static sharded executor.  Purely a
-        scheduling change — results stay bit-identical; useful with
-        ``jobs > 1`` when the batch is cost-skewed and the static
-        cost model would misbalance the shards.  The session always
-        runs over the worker pool — with ``jobs=1`` that is a single
-        worker process (correct but pure overhead); use ``jobs=0``
-        (machine-sized) or ``jobs>1`` when streaming for speed.
+        Admit the instances to the session one at a time
+        (micro-batched shards, work-stealing scheduler) instead of as
+        static cost-model shards cut up front.  Purely a scheduling
+        change — results stay bit-identical, and both paths share the
+        same supervision; useful with ``jobs > 1`` when the batch is
+        cost-skewed and the static cost model would misbalance the
+        shards.  Streaming always runs over the worker pool — with
+        ``jobs=1`` that is a single worker process (correct but pure
+        overhead); use ``jobs=0`` (machine-sized) or ``jobs>1`` when
+        streaming for speed.
     """
     if config is None:
         config = AlgorithmConfig(epsilon=Fraction(epsilon))

@@ -7,7 +7,9 @@ one: instances *arrive over time*, and even the lane-aware
 :func:`~repro.core.parallel.corrected_cost` estimate that balances the
 shards (static structure times the live observed-rate correction
 table) can still be wrong for a novel instance shape.  This module is
-the serving answer:
+the serving answer, and the only code that submits work to the pool:
+the static executor admits its pre-cut shards here too (one locked
+step, stealing off), so both paths share the supervision below.
 
 * **admission** — :class:`BatchSession` is a context manager whose
   :meth:`~BatchSession.submit` accepts one hypergraph at a time and
@@ -323,8 +325,8 @@ class BatchSession:
         this many submissions (sooner when idle capacity is waiting).
     steal:
         Enable the work-stealing scheduler.  With ``False`` a worker
-        only ever runs shards assigned to its own queue — the static
-        baseline the E12 benchmark gate measures against.
+        only ever runs shards assigned to its own queue, as in the
+        static ``jobs=N`` batches the E12 benchmark gate measures.
     record_schedule:
         Keep the admission/schedule log (:attr:`schedule`, a few
         tuples per instance).  On by default for reproducibility
@@ -469,8 +471,8 @@ class BatchSession:
         """Refuse new submissions, then drain outstanding ones.
 
         Idempotent; an empty session closes immediately.  The shared
-        worker pool is left running (it is persistent across sessions
-        and static ``jobs=N`` calls alike).
+        worker pool is left running (it is persistent across sessions,
+        including the one behind each static ``jobs=N`` call).
         """
         with self._lock:
             self._open = False
@@ -597,41 +599,44 @@ class BatchSession:
         container's content), cancellation is per-ticket, results are
         bit-identical to in-memory solves.
         """
+        config = config or self._config
+        instances = arena_hypergraphs(arena)
+        costs = [corrected_cost(instance, config) for instance in instances]
+        return self._admit_packed([(arena, instances, costs)], config)[0]
+
+    def _admit_packed(self, shards, config) -> list[list[StreamTicket]]:
+        """Admit ``(arena, instances, costs)`` shards in one locked step.
+
+        Every shard is queued before any is dispatched, so no
+        completion can free a slot between two admissions: on a fresh
+        session shard ``i`` lands on slot ``i``.  Returns each shard's
+        tickets in arena order.
+        """
         with self._lock:
             if not self._open:
                 raise SessionClosedError(
                     "submit_arena() on a closed BatchSession — results "
                     "of earlier submissions remain retrievable"
                 )
-            config = config or self._config
-            instances = arena_hypergraphs(arena)
-            if not instances:
-                return []
-            entries = [
-                StreamTicket(next(self._ticket_ids), instance, config, self)
-                for instance in instances
-            ]
-            self._unsettled += len(entries)
-            for ticket in entries:
-                self._log("submit", ticket.id)
-            costs = [
-                corrected_cost(instance, config) for instance in instances
-            ]
-            shard = _Shard(
-                next(self._shard_ids), entries, arena, config, costs
-            )
-            slot = min(
-                range(self._jobs), key=lambda s: (self._loads[s], s)
-            )
-            self._queues[slot].append(shard)
-            self._loads[slot] += shard.cost
-            self.stats["shards"] += 1
-            self._log(
-                "seal", shard.id, slot,
-                tuple(ticket.id for ticket in entries),
-            )
+            groups = []
+            for arena, instances, costs in shards:
+                entries = [
+                    StreamTicket(next(self._ticket_ids), instance, config, self)
+                    for instance in instances
+                ]
+                groups.append(entries)
+                if not entries:
+                    continue
+                self._unsettled += len(entries)
+                for ticket in entries:
+                    self._log("submit", ticket.id)
+                shard = _Shard(
+                    next(self._shard_ids), entries, arena, config, costs
+                )
+                self._enqueue(shard, "seal")
+                self.stats["shards"] += 1
             self._pump()
-            return entries
+            return groups
 
     # ------------------------------------------------------------------
     # Incremental updates
@@ -888,13 +893,19 @@ class BatchSession:
             corrected_cost(ticket.hypergraph, config) for ticket in entries
         ]
         shard = _Shard(next(self._shard_ids), entries, arena, config, costs)
+        self._enqueue(shard, "seal")
+        self.stats["shards"] += 1
+
+    def _enqueue(self, shard: _Shard, event: str) -> None:
+        """Queue ``shard`` on the least-loaded slot (ties go to the
+        lowest slot) and log ``(event, shard, slot, tickets)``.  Runs
+        under the lock."""
         slot = min(range(self._jobs), key=lambda s: (self._loads[s], s))
         self._queues[slot].append(shard)
         self._loads[slot] += shard.cost
-        self.stats["shards"] += 1
         self._log(
-            "seal", shard.id, slot,
-            tuple(ticket.id for ticket in entries),
+            event, shard.id, slot,
+            tuple(ticket.id for ticket in shard.entries),
         )
 
     # ------------------------------------------------------------------
@@ -1207,25 +1218,17 @@ class BatchSession:
                 # Everything settled while the shard waited (cancels,
                 # timeouts, a racing duplicate): nothing to re-solve.
                 return
-            slot = min(
-                range(self._jobs), key=lambda s: (self._loads[s], s)
-            )
-            self._queues[slot].append(shard)
-            self._loads[slot] += shard.cost
-            self._log(
-                "requeue", shard.id, slot,
-                tuple(ticket.id for ticket in shard.entries),
-            )
+            self._enqueue(shard, "requeue")
             self._pump()
 
     def _solve_inline(self, shard: _Shard) -> None:
-        """In-process fallback: the crash path of the static executor.
+        """In-process fallback for a shard the pool cannot take.
 
         The actual solve is handed to a short-lived thread so the
         session lock is never held across a batch solve — recovering
         one crashed shard must not freeze admission, settling, or
-        other shards' recovery.  Results carry no worker provenance,
-        mirroring ``run_fastpath_batch_parallel``'s recovery.
+        other shards' recovery.  Results carry no worker provenance
+        (``CoverResult.worker`` is ``None``).
         """
         self._log(
             "fallback", shard.id, None,

@@ -504,3 +504,81 @@ def test_property_parallel_spill_mixes(monkeypatch, hypergraphs, epsilon):
     assert_parallel_matches_sequential(
         hypergraphs, config, jobs=2, verify=False
     )
+
+
+# ----------------------------------------------------------------------
+# One dispatcher: static jobs=N batches run through the session
+# ----------------------------------------------------------------------
+
+
+def test_concurrent_callers_survive_each_others_pool_resizes():
+    """Callers with different ``jobs`` resize the one shared pool under
+    each other; every call must still return the exact results."""
+    import sys
+    import threading
+
+    config = AlgorithmConfig(epsilon=Fraction(1, 3))
+    batch = random_batch(8, base_seed=31)
+    expected = run_fastpath_batch(batch, config)
+    outcomes = {jobs: [] for jobs in (2, 3, 4)}
+
+    def caller(jobs):
+        for _ in range(15):
+            try:
+                outcomes[jobs].append(
+                    solve_mwhvc_batch(batch, config=config, jobs=jobs)
+                )
+            except Exception as error:  # reported below
+                outcomes[jobs].append(error)
+
+    threads = [
+        threading.Thread(target=caller, args=(jobs,), daemon=True)
+        for jobs in outcomes
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        for jobs, calls in outcomes.items():
+            assert len(calls) == 15, jobs
+            for results in calls:
+                assert not isinstance(results, BaseException), (
+                    f"jobs={jobs} raised {results!r}"
+                )
+                assert len(results) == len(expected)
+                for left, right in zip(expected, results):
+                    for attribute in OBSERVABLES:
+                        assert getattr(right, attribute) == getattr(
+                            left, attribute
+                        )
+                    assert right.lane == left.lane
+    finally:
+        shutdown_pool()
+
+
+def test_lpt_shard_lands_on_its_own_slot(monkeypatch):
+    """All shards are admitted before any is dispatched, so a shard that
+    finishes while the next one is still packing cannot pull that next
+    shard onto its own slot."""
+    import time
+
+    config = AlgorithmConfig(epsilon=Fraction(1, 3))
+    batch = random_batch(4, base_seed=27)
+    solve_mwhvc_batch(batch, config=config, jobs=2)  # warm the pool
+    original = parallel_module.pack_arena
+
+    def slow_pack(*args, **kwargs):
+        arena = original(*args, **kwargs)
+        time.sleep(0.2)
+        return arena
+
+    monkeypatch.setattr(parallel_module, "pack_arena", slow_pack)
+    results = solve_mwhvc_batch(batch, config=config, jobs=2)
+    assert {result.worker for result in results} == {0, 1}

@@ -751,3 +751,24 @@ def test_cli_serve_store_resolves_ids(tmp_path, capsys, monkeypatch):
     rows = [json.loads(line) for line in captured.out.splitlines()]
     assert [row["file"] for row in rows] == ["g1", "g0"]
     assert "missing-id" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--jobs", "2"], ["--stream"], ["--stream", "--jobs", "2"],
+     ["--sequential"]],
+)
+def test_cli_batch_store_rejects_dispatch_flags(tmp_path, capsys, flags):
+    """``batch --store`` solves in-process segment by segment; a flag it
+    would silently ignore is an error naming that flag (exit 2)."""
+    from repro.cli import main
+
+    _write_instances(tmp_path / "in", count=2)
+    corpus = tmp_path / "corpus"
+    assert main(["pack", str(tmp_path / "in"), str(corpus)]) == 0
+    capsys.readouterr()
+    assert main(["batch", str(corpus), "--store", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    named = [flag for flag in flags if flag.startswith("--")]
+    assert any(flag in captured.err for flag in named)

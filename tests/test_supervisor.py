@@ -411,3 +411,41 @@ def test_max_resident_evicts_lru_and_evicted_base_still_updates():
 def test_max_resident_validation():
     with pytest.raises(ValueError):
         BatchSession(CONFIG, jobs=1, max_resident=0)
+
+
+def test_hung_worker_under_static_jobs_is_cut_at_the_deadline(monkeypatch):
+    """``jobs=N`` batches run through the supervised session too: a
+    worker hung for a minute is killed at the solve deadline and its
+    shard retried, so the call returns solo bits in seconds."""
+    import functools
+
+    import repro.core.parallel as parallel_module
+    import repro.core.stream as stream_module
+    from repro.core.batch import run_fastpath_batch
+    from repro.core.solver import solve_mwhvc_batch
+
+    batch = small_batch(4, base_seed=60)
+    expected = run_fastpath_batch(batch, CONFIG)
+    plan = FaultPlan(seed=0)
+    plan.force_worker("hang", 60.0)
+    monkeypatch.setattr(parallel_module, "FAULT_PLAN", plan)
+    monkeypatch.setattr(
+        stream_module,
+        "SupervisorPolicy",
+        functools.partial(SupervisorPolicy, floor=1.0, tick=0.05),
+    )
+    try:
+        start = time.monotonic()
+        results = solve_mwhvc_batch(batch, config=CONFIG, jobs=2)
+        elapsed = time.monotonic() - start
+    finally:
+        shutdown_pool()
+    assert elapsed < 15.0, f"a hung worker held jobs=2 for {elapsed:.1f}s"
+    assert plan.total_fired() == 1
+    assert len(results) == len(expected)
+    for left, right in zip(expected, results):
+        for attribute in (
+            "cover", "weight", "iterations", "rounds", "dual",
+            "dual_total", "levels", "stats", "lane",
+        ):
+            assert getattr(right, attribute) == getattr(left, attribute)
