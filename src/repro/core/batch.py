@@ -174,6 +174,8 @@ def run_fastpath_batch(
     solo: list[tuple[int, str, dict | None]] = []
     prepared: dict[int, object] = {}
     for index, hypergraph in enumerate(instances):
+        if kernels._BEAT is not None:
+            kernels._BEAT()
         if hypergraph.num_edges == 0:
             results[index] = _empty_result(hypergraph, config, verify)
             continue
@@ -217,6 +219,8 @@ def run_fastpath_batch(
         ).solve()
         spilled = []
         for position, (index, hypergraph, state, _) in enumerate(members):
+            if kernels._BEAT is not None:
+                kernels._BEAT()
             if position in spills:
                 spilled.append((index, hypergraph, state, spills[position]))
             else:

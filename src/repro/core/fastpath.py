@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from repro.core import kernels
 from repro.core.edge_logic import argmin_member, initial_bid, initial_bid_scaled
 from repro.core.kernels import (
     MACHINE_LANES,
@@ -811,6 +812,8 @@ def _run_bigint(
     cover_weight = 0
 
     while live_edges:
+        if kernels._BEAT is not None:
+            kernels._BEAT()
         iteration += 1
         if iteration > config.max_iterations:
             raise RoundLimitExceededError(

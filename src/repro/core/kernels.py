@@ -152,6 +152,12 @@ _LIMB_MASK = (1 << LIMB_BITS) - 1
 #: the unbounded big-int executor after these.
 MACHINE_LANES = ("int64", "two-limb", "three-limb")
 
+#: Progress hook of a supervised pool worker (``None`` everywhere
+#: else): called per sweep here and per iteration and instance in the
+#: fastpath and batch loops, so the parent can tell a long solve from
+#: a stalled one.  See :func:`repro.core.parallel._solve_shard`.
+_BEAT = None
+
 
 # ----------------------------------------------------------------------
 # Headroom accounting
@@ -839,6 +845,8 @@ class LaneRun:
         tr_parts: list = []
         vectorize = ops.name == "int64"
         for hypergraph, scale in zip(hypergraphs, self.scales):
+            if _BEAT is not None:
+                _BEAT()
             beta = config.beta(hypergraph.rank)
             beta_den.append(beta.denominator)
             z_caps.append(config.z(hypergraph.rank))
@@ -1443,6 +1451,8 @@ class LaneRun:
         resumed = bool(self.offsets.any())
         sweep = 0
         while self.live_e.size:
+            if _BEAT is not None:
+                _BEAT()
             sweep += 1
             max_offset = (
                 int(self.offsets[self.active].max()) if resumed else 0

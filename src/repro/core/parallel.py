@@ -552,6 +552,27 @@ def _attach_shm_bytes(name: str, size: int) -> bytes:
 #: misconfigured factor on a heavy shard cannot wedge a soak.
 _SLOW_FAULT_CAP_SECONDS = 10.0
 
+#: Shortest gap between two progress beats of a supervised worker.
+_BEAT_SECONDS = 0.02
+
+
+def _beater(path: str):
+    """The worker's progress hook: touch the heartbeat file ``path`` at
+    most every :data:`_BEAT_SECONDS`, however often the solver calls."""
+    last = time.monotonic()
+
+    def beat() -> None:
+        nonlocal last
+        now = time.monotonic()
+        if now - last >= _BEAT_SECONDS:
+            last = now
+            try:
+                os.utime(path)
+            except OSError:  # the session closed under the shard
+                pass
+
+    return beat
+
 
 def _solve_shard(
     payload: dict,
@@ -576,8 +597,10 @@ def _solve_shard(
     (``("kill",)`` SIGKILLs the process before any work; ``("hang",
     s)`` stalls before solving; ``("slow", f)`` stretches the solve
     wall time), and a ``heartbeat`` path the worker writes its pid to
-    on pickup, so the parent's supervisor can kill *this* process when
-    the solve deadline expires.  A vanished shared-memory segment or a
+    on pickup and then touches as the solver advances (through the
+    ``kernels._BEAT`` hook), so the parent's supervisor can tell a long
+    solve from a stalled one and kill *this* process when it stalls.
+    A vanished shared-memory segment or a
     corrupted buffer raises a typed
     :class:`~repro.exceptions.ArenaTransportError`, which the parent
     treats as a recoverable transport fault.
@@ -586,6 +609,9 @@ def _solve_shard(
     if directive is not None and directive[0] == "kill":
         # pragma: no cover - exercised via subprocess
         os.kill(os.getpid(), signal.SIGKILL)
+    import repro.core.batch as batch_module
+    import repro.core.kernels as kernels_module
+
     heartbeat = payload.get("heartbeat")
     if heartbeat:
         try:
@@ -593,6 +619,8 @@ def _solve_shard(
                 handle.write(str(os.getpid()))
         except OSError:  # pragma: no cover - heartbeat dir vanished
             pass
+    # Set on every task, so no beat can reach an earlier task's file.
+    kernels_module._BEAT = _beater(heartbeat) if heartbeat else None
     if directive is not None and directive[0] == "hang":
         time.sleep(directive[1])
     kind, *details = payload["transport"]
@@ -629,10 +657,6 @@ def _solve_shard(
     # consumes the shipped arena itself, slicing the per-lane
     # eligibility groups out of it instead of re-packing.
     instances = arena_hypergraphs(arena)
-
-    import repro.core.batch as batch_module
-    import repro.core.kernels as kernels_module
-
     kernels_module.INT64_HEADROOM_BITS = payload["int64_bits"]
     kernels_module.TWO_LIMB_HEADROOM_BITS = payload["two_limb_bits"]
     kernels_module.THREE_LIMB_HEADROOM_BITS = payload["three_limb_bits"]
@@ -836,8 +860,10 @@ def run_fastpath_batch_parallel(
     The LPT shards are packed here and admitted, in one step and with
     stealing off, to a :class:`~repro.core.stream.BatchSession`, so
     shard ``i`` runs on slot ``i`` and every wait on a worker is
-    supervised: a solve deadline that kills a hung worker, retry with
-    backoff, the circuit breaker and the in-process fallback.
+    supervised: a heartbeat deadline that kills a stalled worker,
+    retry with backoff, the circuit breaker and the in-process
+    fallback.  A solver error raises here as soon as its shard reports
+    it (no in-process re-solve), and the other shards are withdrawn.
     """
     from repro.core.stream import BatchSession
 
@@ -863,10 +889,18 @@ def run_fastpath_batch_parallel(
         record_schedule=False,
         fault_plan=FAULT_PLAN,
     ) as session:
-        groups = session._admit_packed(packed, config)
-    tickets = {
-        index: ticket
-        for indices, group in zip(shards, groups)
-        for index, ticket in zip(indices, group)
-    }
-    return [tickets[index].result() for index in range(len(instances))]
+        groups = session._admit_packed(packed, config, isolate=False)
+        tickets = {
+            index: ticket
+            for indices, group in zip(shards, groups)
+            for index, ticket in zip(indices, group)
+        }
+        try:
+            return [tickets[index].result() for index in range(len(instances))]
+        except BaseException:
+            # First error (or an interrupt) wins: withdraw the rest so
+            # leaving the session does not wait for shards whose
+            # results would be thrown away.
+            for ticket in tickets.values():
+                ticket.cancel()
+            raise

@@ -38,11 +38,12 @@ step, stealing off), so both paths share the supervision below.
   The stateful soak harness in ``tests/test_stream_soak.py`` pins
   this under adversarial interleavings;
 * **resilience** — a crashed worker (the pool breaks), a hung worker
-  (killed by the :class:`~repro.core.supervisor.WorkerSupervisor` when
-  its cost-model-derived solve deadline expires) or a damaged
-  transport (typed :class:`~repro.exceptions.TransportError`) sends
-  the shard back through the normal steal scheduler with capped
-  exponential backoff, up to a bounded per-shard retry budget;
+  (killed by the :class:`~repro.core.supervisor.WorkerSupervisor` once
+  its heartbeat has been still for a cost-model-derived solve
+  deadline) or a damaged transport (typed
+  :class:`~repro.exceptions.TransportError`) sends the shard back
+  through the normal steal scheduler with capped exponential backoff,
+  up to a bounded per-shard retry budget;
   exhaustion falls back to an in-process re-solve, and a circuit
   breaker degrades *all* dispatch to in-process once the pool fails
   repeatedly (half-opening on a probe shard after a cooldown).
@@ -259,10 +260,11 @@ class StreamTicket:
 class _Shard:
     """One sealed micro-batch: tickets plus their packed arena."""
 
-    __slots__ = ("id", "entries", "arena", "config", "costs", "retries")
+    __slots__ = ("id", "entries", "arena", "config", "costs", "retries",
+                 "isolate")
 
     def __init__(self, shard_id, entries, arena, config, costs,
-                 retries: int = 0):
+                 retries: int = 0, isolate: bool = True):
         self.id = shard_id
         self.entries: list[StreamTicket] = entries
         self.arena: BatchArena = arena
@@ -271,6 +273,9 @@ class _Shard:
         #: Failed pool dispatches so far (capped by the session's
         #: retry budget; carried across steal splits).
         self.retries = retries
+        #: Whether a solver error re-solves the instances one by one so
+        #: only the failing tickets carry it (else all settle with it).
+        self.isolate = isolate
 
     @property
     def cost(self) -> float:
@@ -604,13 +609,17 @@ class BatchSession:
         costs = [corrected_cost(instance, config) for instance in instances]
         return self._admit_packed([(arena, instances, costs)], config)[0]
 
-    def _admit_packed(self, shards, config) -> list[list[StreamTicket]]:
+    def _admit_packed(
+        self, shards, config, *, isolate=True
+    ) -> list[list[StreamTicket]]:
         """Admit ``(arena, instances, costs)`` shards in one locked step.
 
         Every shard is queued before any is dispatched, so no
         completion can free a slot between two admissions: on a fresh
-        session shard ``i`` lands on slot ``i``.  Returns each shard's
-        tickets in arena order.
+        session shard ``i`` lands on slot ``i``.  ``isolate=False``
+        settles a shard's solver error on all its tickets at once, for
+        a caller that fails as a whole on the first error anyway.
+        Returns each shard's tickets in arena order.
         """
         with self._lock:
             if not self._open:
@@ -631,7 +640,8 @@ class BatchSession:
                 for ticket in entries:
                     self._log("submit", ticket.id)
                 shard = _Shard(
-                    next(self._shard_ids), entries, arena, config, costs
+                    next(self._shard_ids), entries, arena, config, costs,
+                    isolate=isolate,
                 )
                 self._enqueue(shard, "seal")
                 self.stats["shards"] += 1
@@ -1166,11 +1176,12 @@ class BatchSession:
             else:
                 # A shard-level solver error may belong to a single
                 # poison instance; never fail its micro-batch peers.
-                # Singleton shards settle the error directly, larger
-                # shards re-solve per instance off the lock so only
-                # the genuinely failing tickets error.
-                if len(shard.entries) == 1:
-                    self._settle(shard.entries[0], error=payload)
+                # Singleton (and non-isolating) shards settle the error
+                # directly, larger shards re-solve per instance off the
+                # lock so only the genuinely failing tickets error.
+                if len(shard.entries) == 1 or not shard.isolate:
+                    for ticket in shard.entries:
+                        self._settle(ticket, error=payload)
                 else:
                     self._log(
                         "fallback", shard.id, None,
@@ -1248,10 +1259,13 @@ class BatchSession:
             )
             outcomes = [(ticket, result, None) for ticket, result
                         in zip(shard.entries, results)]
-        except BaseException:
+        except BaseException as error:
             # The batched re-solve failed too: isolate per instance so
             # only the poison tickets carry the error.
-            outcomes = self._solve_isolated(shard)
+            outcomes = (
+                self._solve_isolated(shard) if shard.isolate
+                else [(ticket, None, error) for ticket in shard.entries]
+            )
         self._settle_outcomes(outcomes)
 
     def _run_isolated(self, shard: _Shard) -> None:

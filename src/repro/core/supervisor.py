@@ -14,18 +14,25 @@ three cooperating pieces, all consumed by
   so a test (or the chaos soak) can shrink every timescale in one
   place;
 * :class:`WorkerSupervisor` — a monitor thread holding one watch per
-  in-flight shard.  Each watch carries a **solve deadline** derived
+  in-flight shard.  Each watch carries a **solve budget** derived
   from the live :class:`~repro.core.parallel.CostModel` estimate
   (``floor + multiplier * predicted_seconds``; the floor alone until
   the model has real observations, because an unlearned cost unit is
-  not seconds).  Workers write their pid into a per-shard **heartbeat
-  file** the moment they pick the task up, so an overdue watch can
-  SIGKILL the *specific* stuck process; a watch whose heartbeat never
-  appeared (the task died queued, or the worker stalled pre-start)
-  kills the whole pool's workers instead.  Either way the executor
-  breaks, the pending futures raise, and the ordinary reclamation path
-  re-dispatches the shards — supervision only ever *converts a hang
-  into a crash*, which the scheduler already knows how to survive;
+  not seconds), and the budget runs from the worker's latest
+  **heartbeat**: a worker writes its pid into a per-shard heartbeat
+  file the moment it picks the task up, then touches the file as the
+  solver advances (per iteration and per instance), so a long
+  healthy shard never expires, while a stalled one (asleep, stuck in
+  a syscall, wedged inside one iteration) is overdue one budget after
+  its last beat and the *specific* stuck process is SIGKILLed.
+  A task not yet picked up (queued behind other callers' shards on
+  the shared pool) expires only after the whole pool has been silent
+  — no beat and no settled task seen by any supervisor in the
+  process — for its budget; it then kills all of the pool's workers.
+  Either way the executor breaks, the pending futures raise, and the
+  ordinary reclamation path re-dispatches the shards — supervision
+  only ever *converts a hang into a crash*, which the scheduler
+  already knows how to survive;
 * :class:`CircuitBreaker` — closed / open / half-open over pool
   dispatch.  ``threshold`` failures inside ``window`` seconds trip it
   open: dispatch degrades to in-process solving (correct, just not
@@ -65,8 +72,9 @@ class SupervisorPolicy:
     transitions fast.
     """
 
-    #: Minimum in-flight solve deadline, seconds.  Also the *entire*
-    #: deadline while the cost model has no observations yet.
+    #: Minimum solve deadline after each heartbeat beat, seconds.
+    #: Also the *entire* deadline while the cost model has no
+    #: observations yet.
     floor: float = 30.0
     #: Deadline slack on top of the floor: ``multiplier *
     #: predicted_seconds`` once the cost model has learned real rates.
@@ -219,15 +227,26 @@ class CircuitBreaker:
             }
 
 
-class _Watch:
-    __slots__ = ("slot", "shard_id", "pool", "deadline", "heartbeat")
+#: When any supervisor in this process last saw the shared pool make
+#: progress (a heartbeat beat or a settled task), ``time.monotonic()``.
+_POOL_SEEN = 0.0
 
-    def __init__(self, slot, shard_id, pool, deadline, heartbeat):
+
+class _Watch:
+    __slots__ = ("slot", "shard_id", "pool", "budget", "heartbeat",
+                 "armed", "stamp", "deadline")
+
+    def __init__(self, slot, shard_id, pool, budget, heartbeat):
         self.slot = slot
         self.shard_id = shard_id
         self.pool = pool
-        self.deadline = deadline
+        self.budget = budget
         self.heartbeat = heartbeat
+        self.armed = time.monotonic()
+        #: The heartbeat file's last-seen mtime (``None`` until a
+        #: worker picks the shard up) and the deadline that beat set.
+        self.stamp = None
+        self.deadline = None
 
 
 class WorkerSupervisor:
@@ -264,18 +283,19 @@ class WorkerSupervisor:
             return os.path.join(self._dir, f"{shard_id}.pid")
 
     def deadline_seconds(self, predicted_seconds: float) -> float:
-        """The in-flight budget for a shard of this predicted size."""
+        """A shard's budget after each beat, given its predicted size."""
         if predicted_seconds <= 0:
             return self._policy.floor
         return self._policy.floor + self._policy.multiplier * predicted_seconds
 
     def watch(self, slot, shard_id, pool, predicted_seconds: float) -> None:
-        """Arm a deadline for one dispatched shard."""
+        """Arm a watch for one dispatched shard; its budget starts
+        running when a worker picks the shard up."""
         watch = _Watch(
             slot,
             shard_id,
             pool,
-            time.monotonic() + self.deadline_seconds(predicted_seconds),
+            self.deadline_seconds(predicted_seconds),
             self.heartbeat_path(shard_id),
         )
         with self._lock:
@@ -292,6 +312,8 @@ class WorkerSupervisor:
 
     def done(self, slot, shard_id) -> None:
         """Disarm a watch (its future settled, however it settled)."""
+        global _POOL_SEEN
+        _POOL_SEEN = time.monotonic()
         with self._lock:
             watch = self._watches.pop((slot, shard_id), None)
         if watch is not None:
@@ -305,13 +327,28 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
 
     def _monitor(self) -> None:
+        global _POOL_SEEN
         while not self._stop.wait(self._policy.tick):
+            with self._lock:
+                watches = list(self._watches.values())
             now = time.monotonic()
+            for watch in watches:
+                try:
+                    stamp = os.stat(watch.heartbeat).st_mtime_ns
+                except OSError:  # not picked up yet (or just settled)
+                    continue
+                if stamp != watch.stamp:
+                    watch.stamp, watch.deadline = stamp, now + watch.budget
+                    _POOL_SEEN = now
             with self._lock:
                 overdue = [
                     key
                     for key, watch in self._watches.items()
-                    if now >= watch.deadline
+                    if now >= (
+                        watch.deadline
+                        if watch.deadline is not None
+                        else max(watch.armed, _POOL_SEEN) + watch.budget
+                    )
                 ]
                 watches = [self._watches.pop(key) for key in overdue]
             for watch in watches:
@@ -337,9 +374,10 @@ class WorkerSupervisor:
             with self._lock:
                 self.kills += 1
             return
-        # No heartbeat: the task never started (stuck queued behind a
-        # wedged pool) — break the pool wholesale so every pending
-        # future raises and reclamation takes over.
+        # No heartbeat: the task never started and the whole pool has
+        # been silent for its budget (wedged) — break the pool
+        # wholesale so every pending future raises and reclamation
+        # takes over.
         processes = getattr(watch.pool, "_processes", None) or {}
         for process in list(processes.values()):
             try:

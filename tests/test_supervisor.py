@@ -416,7 +416,8 @@ def test_max_resident_validation():
 def test_hung_worker_under_static_jobs_is_cut_at_the_deadline(monkeypatch):
     """``jobs=N`` batches run through the supervised session too: a
     worker hung for a minute is killed at the solve deadline and its
-    shard retried, so the call returns solo bits in seconds."""
+    shard retried, so the call returns solo bits in seconds — and every
+    shared-memory segment it shipped is released."""
     import functools
 
     import repro.core.parallel as parallel_module
@@ -434,6 +435,8 @@ def test_hung_worker_under_static_jobs_is_cut_at_the_deadline(monkeypatch):
         "SupervisorPolicy",
         functools.partial(SupervisorPolicy, floor=1.0, tick=0.05),
     )
+    shm = "/dev/shm"
+    before = set(os.listdir(shm)) if os.path.isdir(shm) else set()
     try:
         start = time.monotonic()
         results = solve_mwhvc_batch(batch, config=CONFIG, jobs=2)
@@ -442,6 +445,9 @@ def test_hung_worker_under_static_jobs_is_cut_at_the_deadline(monkeypatch):
         shutdown_pool()
     assert elapsed < 15.0, f"a hung worker held jobs=2 for {elapsed:.1f}s"
     assert plan.total_fired() == 1
+    if os.path.isdir(shm):
+        leaked = set(os.listdir(shm)) - before
+        assert not leaked, f"leaked shared-memory segments: {leaked}"
     assert len(results) == len(expected)
     for left, right in zip(expected, results):
         for attribute in (
@@ -449,3 +455,76 @@ def test_hung_worker_under_static_jobs_is_cut_at_the_deadline(monkeypatch):
             "dual_total", "levels", "stats", "lane",
         ):
             assert getattr(right, attribute) == getattr(left, attribute)
+
+
+def test_healthy_cold_static_shard_outlives_the_floor(monkeypatch):
+    """A ``jobs=N`` shard is as large as the batch makes it, and a cold
+    cost model gives it only the flat floor; the deadline must run from
+    the worker's latest progress beat, so a healthy shard solving well
+    past the floor is never killed (and never falls back in-process)."""
+    import functools
+
+    import repro.core.parallel as parallel_module
+    import repro.core.stream as stream_module
+    import repro.core.supervisor as supervisor_module
+    from repro.core.kernels import HAS_NUMPY
+    from repro.core.solver import solve_mwhvc_batch
+    from repro.hypergraph.generators import uniform_hypergraph
+
+    # About 1.3 s per shard either way on a 2-core box: the pure-Python
+    # solve is slower per instance.
+    batch = [
+        uniform_hypergraph(
+            600, 3000, 3, seed=seed,
+            weights=uniform_weights(600, 10**4, seed=seed + 500),
+        )
+        for seed in range(96 if HAS_NUMPY else 32)
+    ]
+    monkeypatch.setattr(parallel_module, "COST_MODEL", parallel_module.CostModel())
+    monkeypatch.setattr(
+        stream_module,
+        "SupervisorPolicy",
+        functools.partial(SupervisorPolicy, floor=0.8, tick=0.05),
+    )
+    hung = []
+    kill = supervisor_module.WorkerSupervisor._kill
+    monkeypatch.setattr(
+        supervisor_module.WorkerSupervisor,
+        "_kill",
+        lambda self, watch: (hung.append(watch.shard_id), kill(self, watch)),
+    )
+    try:
+        results = solve_mwhvc_batch(batch, config=CONFIG, jobs=2)
+    finally:
+        shutdown_pool()
+    assert hung == []
+    assert {result.worker for result in results} == {0, 1}
+
+
+def test_static_jobs_solver_error_raises_without_in_process_resolve(monkeypatch):
+    """A solver error inside a ``jobs=N`` shard raises from the call as
+    it would from ``jobs=1``; the session neither re-solves the failing
+    shard instance by instance nor waits for the other shard."""
+    import repro.core.stream as stream_module
+    from repro.core.batch import run_fastpath_batch
+    from repro.core.solver import solve_mwhvc_batch
+    from repro.exceptions import RoundLimitExceededError
+
+    batch = small_batch(8, base_seed=80)
+    config = AlgorithmConfig(epsilon=Fraction(1, 3), max_iterations=1)
+    with pytest.raises(RoundLimitExceededError):
+        run_fastpath_batch(batch, config)
+    in_process = []
+    monkeypatch.setattr(
+        stream_module,
+        "run_fastpath_batch",
+        lambda *args, **kwargs: in_process.append(args) or run_fastpath_batch(
+            *args, **kwargs
+        ),
+    )
+    try:
+        with pytest.raises(RoundLimitExceededError):
+            solve_mwhvc_batch(batch, config=config, jobs=2)
+    finally:
+        shutdown_pool()
+    assert in_process == []
