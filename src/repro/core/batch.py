@@ -67,6 +67,7 @@ from repro.core.result import AlgorithmStats, CoverResult
 from repro.core.runner import finalize_result
 from repro.hypergraph.csr import slice_arena
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.lp.scaled import ScaledDual
 
 __all__ = ["run_fastpath_batch", "arena_eligibility"]
 
@@ -292,7 +293,7 @@ def _empty_result(
         hypergraph,
         config,
         cover=frozenset(),
-        dual={},
+        dual=ScaledDual(1, ()),
         levels=(0,) * n,
         stats=AlgorithmStats.empty(level_cap=config.z(hypergraph.rank)),
         alphas=[],

@@ -87,6 +87,7 @@ from repro.exceptions import (
 )
 from repro.hypergraph.csr import edge_membership_csr
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.lp.scaled import ScaledDual
 
 try:  # pragma: no cover - exercised implicitly by either branch
     import numpy as _np
@@ -506,7 +507,7 @@ def run_fastpath(
             hypergraph,
             config,
             cover=frozenset(),
-            dual={},
+            dual=ScaledDual(1, ()),
             levels=(0,) * n,
             stats=AlgorithmStats.empty(level_cap=config.z(hypergraph.rank)),
             alphas=[],
@@ -947,11 +948,6 @@ def _run_bigint(
     cover = frozenset(
         vertex for vertex in range(n) if in_cover[vertex]
     )
-    dual_total = scaled_fraction(sum(delta), scale)
-    dual = {
-        edge_id: scaled_fraction(delta[edge_id], scale)
-        for edge_id in range(m)
-    }
     stats = AlgorithmStats(
         total_raise_events=sum(raise_count),
         max_raises_per_edge=max(raise_count, default=0),
@@ -965,7 +961,7 @@ def _run_bigint(
         hypergraph,
         config,
         cover=cover,
-        dual=dual,
+        dual=ScaledDual(scale, delta),
         levels=tuple(level),
         stats=stats,
         alphas=list(alpha_list),
@@ -973,6 +969,6 @@ def _run_bigint(
         rounds=max_halt_round,
         metrics=None,
         verify=verify,
-        dual_total=dual_total,
+        dual_total=scaled_fraction(sum(delta), scale),
         lane="bigint",
     )

@@ -47,6 +47,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from repro.core.batch import run_fastpath_batch
 from repro.core.fastpath import run_fastpath
@@ -67,12 +68,14 @@ from repro.hypergraph.mutable import (
     apply_delta,
 )
 from repro.lp.duality import ApproximationCertificate
+from repro.lp.scaled import ScaledDual
 
 __all__ = ["Fragment", "solve_state", "resolve_incremental"]
 
 #: A fragment solver: takes ``[(instance, pinned_config), ...]`` and
-#: returns the aligned standalone results.  The streaming session
-#: routes this through its worker pool; the default solves in-process.
+#: returns the aligned standalone fastpath-family results (their duals
+#: are :class:`ScaledDual`s).  The streaming session routes this
+#: through its worker pool; the default solves in-process.
 FragmentSolver = Callable[
     [list[tuple[Hypergraph, AlgorithmConfig]]], Sequence[CoverResult]
 ]
@@ -215,8 +218,6 @@ def _merge(
     certify against the pinned global ``f`` anyway.
     """
     cover: set[int] = set()
-    dual: dict[int, Fraction] = {}
-    dual_total = Fraction(0)
     levels = [0] * hypergraph.num_vertices
     iterations = 0
     rounds = 0
@@ -236,9 +237,6 @@ def _merge(
         weight = weight + result.weight
         for local in result.cover:
             cover.add(fragment.vertices[local])
-        for local, value in result.dual.items():
-            dual[fragment.edge_ids[local]] = value
-        dual_total += result.dual_total
         for local, level in enumerate(result.levels):
             levels[fragment.vertices[local]] = level
         stats = result.stats
@@ -261,6 +259,17 @@ def _merge(
             )
     if alpha_min is None:
         alpha_min = alpha_max = Fraction(2)
+    # One ScaledDual over the lcm of the fragments' scales: numerators
+    # lifted and scattered, no Fraction built.
+    scale = lcm(*(fragment.result.dual.scale for fragment in fragments))
+    numerators = [0] * hypergraph.num_edges
+    for fragment in fragments:
+        dual = fragment.result.dual
+        factor = scale // dual.scale
+        for edge_id, numerator in zip(fragment.edge_ids, dual.numerators):
+            numerators[edge_id] = numerator * factor
+    dual = ScaledDual(scale, numerators)
+    dual_total = Fraction(sum(numerators), scale)
     chosen = frozenset(cover)
     certificate = None
     if verify:

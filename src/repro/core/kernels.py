@@ -61,11 +61,7 @@ from fractions import Fraction
 from math import log2
 
 from repro.core.lockstep import INIT_EXCHANGE_ROUNDS, phase_a_round
-from repro.core.numeric import (
-    exact_scaled_int,
-    raw_fraction_list,
-    scaled_fraction,
-)
+from repro.core.numeric import exact_scaled_int, scaled_fraction
 from repro.core.params import AlgorithmConfig
 from repro.core.result import AlgorithmStats, CoverResult
 from repro.core.runner import finalize_result
@@ -82,6 +78,7 @@ from repro.exceptions import (
 )
 from repro.hypergraph.csr import BatchArena, CSRLayout, pack_arena
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.lp.scaled import ScaledDual
 
 try:  # pragma: no cover - exercised implicitly by either branch
     import numpy as _np
@@ -638,38 +635,19 @@ def finalize_lane_instance(
     *,
     lane: str,
 ) -> CoverResult:
-    """Convert one instance's lane state back to exact Fractions.
+    """Build (and, with ``verify``, certify) one instance's result.
 
-    When the scale and the duals fit int64, the per-edge gcd
-    normalization of the dual packing runs as one vectorized ``np.gcd``
-    pass and the Fractions assemble from the already-reduced pairs;
-    wider values take the scalar loop.
+    The dual is the lane's own packing, ``ScaledDual(scale, delta)``:
+    no Fraction is built here, the certificate reads the integers
+    directly, and the per-edge gcd runs only when the dual is rendered.
     """
     scale = raw["scale"]
     delta = raw["delta"]
-    dual = None
-    if scale.bit_length() < 63:
-        try:
-            delta_arr = _np.array(delta, dtype=_np.int64)
-        except OverflowError:
-            delta_arr = None
-        if delta_arr is not None:
-            divisors = _np.gcd(delta_arr, scale)
-            numerators = (delta_arr // divisors).tolist()
-            denominators = (scale // divisors).tolist()
-            dual = dict(
-                enumerate(raw_fraction_list(numerators, denominators))
-            )
-    if dual is None:
-        dual = {
-            edge_id: scaled_fraction(value, scale)
-            for edge_id, value in enumerate(delta)
-        }
     return finalize_result(
         hypergraph,
         config,
         cover=frozenset(raw["cover"]),
-        dual=dual,
+        dual=ScaledDual(scale, delta),
         levels=tuple(raw["levels"]),
         stats=raw["stats"],
         alphas=raw["alphas"],

@@ -15,6 +15,7 @@ from math import gcd
 from numbers import Rational
 
 from repro.exceptions import AlgorithmError, InvalidInstanceError
+from repro.lp.scaled import _probe_fraction_slots
 
 __all__ = [
     "parse_epsilon",
@@ -22,44 +23,8 @@ __all__ = [
     "ceil_log2_fraction",
     "half_power",
     "scaled_fraction",
-    "raw_fraction",
-    "raw_fraction_list",
     "exact_scaled_int",
 ]
-
-
-def _probe_fraction_slots() -> bool:
-    """One-time capability probe for the ``Fraction.__new__`` fast path.
-
-    :func:`scaled_fraction` builds Fractions through the private
-    ``_numerator`` / ``_denominator`` slots that CPython's
-    ``fractions`` module uses internally.  Those are implementation
-    details: a future CPython could rename them, add ``__slots__``
-    enforcement, or cache derived state, silently breaking (or worse,
-    corrupting) every value built this way.  This probe constructs one
-    value via the back door and checks it behaves exactly like the
-    public constructor; any discrepancy or exception disables the fast
-    path for the whole process, degrading to slow-but-correct.
-
-    The back door allocates through ``object.__new__`` — one C call,
-    skipping even the (int, None) dispatch of the Python-level
-    ``Fraction.__new__`` — so that is exactly what the probe exercises.
-    """
-    try:
-        value = object.__new__(Fraction)
-        value._numerator = 3
-        value._denominator = 2
-        reference = Fraction(3, 2)
-        return (
-            value == reference
-            and value.numerator == 3
-            and value.denominator == 2
-            and value + Fraction(1, 2) == Fraction(2)
-            and hash(value) == hash(reference)
-        )
-    except Exception:  # pragma: no cover - depends on the interpreter
-        return False
-
 
 #: Whether this interpreter supports the slot-layout fast path.
 _HAS_FRACTION_SLOTS = _probe_fraction_slots()
@@ -68,15 +33,16 @@ _HAS_FRACTION_SLOTS = _probe_fraction_slots()
 def scaled_fraction(numerator: int, scale: int) -> Fraction:
     """``Fraction(numerator, scale)`` for a known-positive ``scale``.
 
-    The scaled-integer executors convert whole dual packings back to
-    Fractions at finalization — one construction per hyperedge — and
-    the generic :class:`Fraction` constructor spends most of that time
-    re-validating its operands.  This helper performs exactly the same
-    normalization (divide by the gcd; ``scale > 0`` so no sign fixup)
-    through the slot layout ``fractions`` itself uses internally,
-    producing canonically equal values at a fraction of the cost.  If
-    the one-time :func:`_probe_fraction_slots` capability check failed
-    (a CPython internals change), it falls back to the public
+    The scaled-integer executors turn numerator-over-scale pairs (the
+    packing total, the observer's running total) back into Fractions,
+    and the generic :class:`Fraction` constructor spends most of that
+    time re-validating its operands.  This helper performs exactly the
+    same normalization (divide by the gcd; ``scale > 0`` so no sign
+    fixup) through the slot layout ``fractions`` itself uses
+    internally, producing canonically equal values at a fraction of
+    the cost.  If the one-time
+    :func:`~repro.lp.scaled._probe_fraction_slots` capability check
+    failed (a CPython internals change), it falls back to the public
     constructor — slower, never wrong.
     """
     if not _HAS_FRACTION_SLOTS:
@@ -86,53 +52,6 @@ def scaled_fraction(numerator: int, scale: int) -> Fraction:
     value._numerator = numerator // divisor
     value._denominator = scale // divisor
     return value
-
-
-def raw_fraction(numerator: int, denominator: int) -> Fraction:
-    """Rebuild a Fraction from an **already-canonical** pair.
-
-    The multiprocess executor ships dual packings across the process
-    boundary as ``(numerator, denominator)`` int pairs taken from
-    normalized Fractions — re-running the constructor's gcd on the
-    receiving side would redo work the sender already did (and
-    ``Fraction``'s own pickle format is worse still: it round-trips
-    through string parsing).  Callers must guarantee the pair is in
-    lowest terms with a positive denominator; the same
-    :func:`_probe_fraction_slots` capability check guards the slot
-    fast path, degrading to the public constructor when unavailable.
-    """
-    if not _HAS_FRACTION_SLOTS:
-        return Fraction(numerator, denominator)
-    value = object.__new__(Fraction)
-    value._numerator = numerator
-    value._denominator = denominator
-    return value
-
-
-def raw_fraction_list(numerators, denominators) -> list[Fraction]:
-    """:func:`raw_fraction` over parallel sequences, loop kept local.
-
-    The lane finalizer normalizes a whole dual packing with one
-    vectorized gcd pass and then needs one Fraction per hyperedge; at
-    that volume the per-call overhead of :func:`raw_fraction` is the
-    dominant remaining cost, so this batch form inlines the slot
-    assembly.  Same contract: every pair must already be in lowest
-    terms with a positive denominator.
-    """
-    if not _HAS_FRACTION_SLOTS:
-        return [
-            Fraction(numerator, denominator)
-            for numerator, denominator in zip(numerators, denominators)
-        ]
-    values = []
-    append = values.append
-    new = object.__new__
-    for numerator, denominator in zip(numerators, denominators):
-        value = new(Fraction)
-        value._numerator = numerator
-        value._denominator = denominator
-        append(value)
-    return values
 
 
 def exact_scaled_int(value: Rational | int, scale: int) -> int:

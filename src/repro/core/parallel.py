@@ -63,7 +63,6 @@ from types import SimpleNamespace
 from repro.core.batch import run_fastpath_batch
 from repro.core.faults import FaultPlan
 from repro.core.kernels import MACHINE_LANES, lane_eligibility
-from repro.core.numeric import raw_fraction
 from repro.core.params import AlgorithmConfig, resolve_alpha
 from repro.core.result import AlgorithmStats, CoverResult
 from repro.exceptions import ArenaTransportError, WorkerResultError
@@ -74,6 +73,7 @@ from repro.hypergraph.csr import (
     serialize_arena,
 )
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.lp.scaled import ScaledDual, raw_fraction_list
 
 try:  # pragma: no cover - absent only on exotic builds
     from multiprocessing import shared_memory
@@ -415,12 +415,11 @@ def partition_shards(
 # Result wire format
 #
 # ``Fraction`` pickles through *string parsing* and re-runs gcd
-# normalization on every value — for a dual packing of m edges per
-# instance that dominates the merge.  Workers therefore ship results as
-# flat tuples of already-canonical ``(numerator, denominator)`` int
-# pairs, and the parent rebuilds Fractions through the no-gcd
-# :func:`repro.core.numeric.raw_fraction` slot path (~2x faster end to
-# end, and smaller on the wire).  Certificates (present only with
+# normalization on every value, so workers ship results as flat tuples
+# of ints.  A :class:`~repro.lp.scaled.ScaledDual` (every worker
+# result's dual) travels as its ``(scale, numerators)`` and no side
+# builds a Fraction per edge; other duals and rationals travel as
+# ``(numerator, denominator)`` pairs.  Certificates (present only with
 # ``verify=True``) pickle natively: correctness infrastructure is not
 # worth a bespoke encoding.
 # ----------------------------------------------------------------------
@@ -435,11 +434,27 @@ def _encode_rational(value: int | Fraction):
 def _decode_rational(value) -> int | Fraction:
     if isinstance(value, int):
         return value
-    return raw_fraction(*value)
+    return Fraction(*value)
+
+
+def _encode_dual(dual) -> tuple:
+    if isinstance(dual, ScaledDual):
+        return (dual.scale, dual.numerators)
+    return (
+        tuple(dual.keys()),
+        tuple(value.numerator for value in dual.values()),
+        tuple(value.denominator for value in dual.values()),
+    )
+
+
+def _decode_dual(wire: tuple):
+    if len(wire) == 2:
+        return ScaledDual(*wire)
+    keys, numerators, denominators = wire
+    return dict(zip(keys, raw_fraction_list(numerators, denominators)))
 
 
 def _encode_result(result: CoverResult) -> tuple:
-    dual = result.dual
     stats = result.stats
     return (
         tuple(result.cover),
@@ -448,9 +463,7 @@ def _encode_result(result: CoverResult) -> tuple:
         _encode_rational(result.epsilon),
         result.iterations,
         result.rounds,
-        tuple(dual.keys()),
-        tuple(value.numerator for value in dual.values()),
-        tuple(value.denominator for value in dual.values()),
+        _encode_dual(result.dual),
         _encode_rational(result.dual_total),
         result.certificate,
         result.levels,
@@ -470,7 +483,7 @@ def _encode_result(result: CoverResult) -> tuple:
 
 
 #: Field count of the :func:`_encode_result` wire tuple.
-_RESULT_WIRE_FIELDS = 16
+_RESULT_WIRE_FIELDS = 14
 
 
 def _decode_result(wire: tuple, worker: int) -> CoverResult:
@@ -490,9 +503,8 @@ def _decode_result(wire: tuple, worker: int) -> CoverResult:
             f"{len(wire) if hasattr(wire, '__len__') else 'n/a'}"
         )
     (
-        cover, weight, rank, epsilon, iterations, rounds,
-        dual_keys, dual_nums, dual_dens, dual_total, certificate,
-        levels, stats, alpha_min, alpha_max, lane,
+        cover, weight, rank, epsilon, iterations, rounds, dual,
+        dual_total, certificate, levels, stats, alpha_min, alpha_max, lane,
     ) = wire
     try:
         return CoverResult(
@@ -502,12 +514,7 @@ def _decode_result(wire: tuple, worker: int) -> CoverResult:
             epsilon=_decode_rational(epsilon),
             iterations=iterations,
             rounds=rounds,
-            dual={
-                edge_id: raw_fraction(numerator, denominator)
-                for edge_id, numerator, denominator in zip(
-                    dual_keys, dual_nums, dual_dens
-                )
-            },
+            dual=_decode_dual(dual),
             dual_total=_decode_rational(dual_total),
             certificate=certificate,
             levels=levels,
@@ -518,7 +525,7 @@ def _decode_result(wire: tuple, worker: int) -> CoverResult:
             lane=lane,
             worker=worker,
         )
-    except (TypeError, ValueError, IndexError) as error:
+    except (TypeError, ValueError, IndexError, ZeroDivisionError) as error:
         raise WorkerResultError(
             f"worker result payload malformed: {error}"
         ) from error

@@ -9,11 +9,14 @@ executions — the engine's message metrics.
 
 from __future__ import annotations
 
+import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from repro.congest.metrics import RunMetrics
 from repro.lp.duality import ApproximationCertificate
+from repro.lp.scaled import ScaledDual
 
 __all__ = ["AlgorithmStats", "CoverResult", "rational_for_json"]
 
@@ -92,7 +95,11 @@ class CoverResult:
         until every node has locally terminated).
     dual:
         Final dual packing ``delta(e)`` per edge id (frozen values for
-        covered edges).
+        covered edges), as a read-only ``Mapping``; ``dict(result.dual)``
+        gives a mutable copy.  The scaled-integer executors hand out
+        their own :class:`~repro.lp.scaled.ScaledDual` (one scale, one
+        integer numerator per edge, Fractions built on read); lockstep
+        and congest a plain dict.
     dual_total:
         ``sum_e delta(e)`` — an exact lower bound on the fractional
         optimum by weak duality.
@@ -137,7 +144,7 @@ class CoverResult:
     epsilon: Fraction
     iterations: int
     rounds: int
-    dual: dict[int, Fraction]
+    dual: Mapping[int, Fraction]
     dual_total: Fraction
     certificate: ApproximationCertificate | None
     levels: tuple[int, ...]
@@ -219,12 +226,38 @@ class CoverResult:
             data["congest_metrics"] = self.metrics.as_dict()
         if include_dual:
             data["dual"] = {
-                str(edge): str(value) for edge, value in self.dual.items()
+                str(edge): f"{value}{over}"
+                for edge, value, over in _dual_entries(self.dual)
             }
         return data
 
     def to_json(self, *, include_dual: bool = False) -> str:
-        """Serialize :meth:`as_dict` to a JSON string."""
-        import json
+        """Serialize :meth:`as_dict` to a JSON string.
 
-        return json.dumps(self.as_dict(include_dual=include_dual))
+        A :class:`~repro.lp.scaled.ScaledDual` is rendered in one pass
+        over its reduced pairs and spliced in as the last field: the
+        same bytes ``json.dumps`` writes for the ``as_dict`` form.
+        """
+        if not include_dual or not isinstance(self.dual, ScaledDual):
+            return json.dumps(self.as_dict(include_dual=include_dual))
+        body = ", ".join(
+            [
+                f'"{edge}": "{value}{over}"'
+                for edge, value, over in _dual_entries(self.dual)
+            ]
+        )
+        return f'{json.dumps(self.as_dict())[:-1]}, "dual": {{{body}}}}}'
+
+
+def _dual_entries(dual: Mapping):
+    """``(edge, value, suffix)`` with ``f"{value}{suffix}"`` the value's
+    ``str()``; a :class:`~repro.lp.scaled.ScaledDual` gives its reduced
+    numerators and ``"/den"`` suffixes (empty when integral), each
+    suffix formatted once per distinct denominator."""
+    if not isinstance(dual, ScaledDual):
+        return ((edge, str(value), "") for edge, value in dual.items())
+    numerators, denominators = dual.reduced()
+    over = {den: f"/{den}" if den != 1 else "" for den in set(denominators)}
+    return zip(
+        range(len(numerators)), numerators, map(over.__getitem__, denominators)
+    )

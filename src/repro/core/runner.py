@@ -10,6 +10,7 @@ message objects for large sweeps.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 from repro.congest.bipartite import build_covering_network
@@ -21,7 +22,7 @@ from repro.core.nodes import EdgeProgram, VertexProgram
 from repro.core.params import AlgorithmConfig, resolve_alpha
 from repro.core.result import AlgorithmStats, CoverResult
 from repro.core.vertex_logic import VertexCore
-from repro.exceptions import AlgorithmError
+from repro.exceptions import AlgorithmError, InvalidInstanceError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.lp.duality import ApproximationCertificate
 
@@ -111,7 +112,7 @@ def finalize_result(
     config: AlgorithmConfig,
     *,
     cover: frozenset[int],
-    dual: dict[int, Fraction],
+    dual: Mapping[int, Fraction],
     levels: tuple[int, ...],
     stats: AlgorithmStats,
     alphas: list[Fraction],
@@ -127,13 +128,13 @@ def finalize_result(
     Shared by every executor: the core-based drivers go through
     :func:`assemble_result`, which extracts these values from the
     vertex/edge automata; the array-based fastpath and batch executors
-    call this directly with their integer state converted back to exact
-    Fractions.  ``dual_total`` lets scaled-integer executors pass the
-    packing total they already hold as one numerator-over-scale pair
-    instead of re-summing ``m`` reduced Fractions.  ``lane`` records
-    which arithmetic lane (int64 / two-limb / three-limb / bigint)
-    produced the raw
-    values — metadata the scaled executors report for observability.
+    call this directly with their integer state, the dual as a
+    :class:`~repro.lp.scaled.ScaledDual`.  ``dual_total`` lets
+    scaled-integer executors pass the packing total they already hold
+    as one numerator-over-scale pair instead of re-summing ``m``
+    Fractions.  ``lane`` records which arithmetic lane (int64 /
+    two-limb / three-limb / bigint) produced the raw values — metadata
+    the scaled executors report for observability.
     """
     weights = hypergraph.weights
     weight = sum(weights[vertex] for vertex in cover)
@@ -250,8 +251,16 @@ def run_congest(
 
     Parameters mirror :class:`~repro.congest.engine.SynchronousEngine`;
     ``max_rounds`` defaults to the configured iteration cap times the
-    schedule's rounds-per-iteration (plus initialization).
+    schedule's rounds-per-iteration (plus initialization).  Vertex
+    weights must be integers: the protocol sends them as integer
+    message fields.
     """
+    if not hypergraph.weights_all_int:
+        raise InvalidInstanceError(
+            "the CONGEST engine sends vertex weights as integer message "
+            "fields, so it needs integer weights; solve fractional "
+            "weights with executor='lockstep' or 'fastpath'"
+        )
     config = config or AlgorithmConfig()
     vertex_cores, edge_cores, global_alpha = build_cores(hypergraph, config)
     rank = hypergraph.rank

@@ -786,6 +786,15 @@ class CoverServer:
             )
         return float(deadline) if deadline is not None else None
 
+    @staticmethod
+    def _parse_include_dual(message) -> bool:
+        include_dual = message.get("include_dual", False)
+        if not isinstance(include_dual, bool):
+            raise InvalidInstanceError(
+                f"'include_dual' must be true or false, got {include_dual!r}"
+            )
+        return include_dual
+
     async def _admit_request(self, connection, request, verb) -> None:
         """Take the admission slots and hand the request to dispatch.
 
@@ -845,7 +854,7 @@ class CoverServer:
             hypergraph = parse_instance(message)
             config = self._request_config(message)
             deadline = self._parse_deadline(message)
-            include_dual = bool(message.get("include_dual", False))
+            include_dual = self._parse_include_dual(message)
         except ReproError as error:
             self._respond_error(
                 connection, "solve", request_id, str(error), "bad-request"
@@ -869,7 +878,7 @@ class CoverServer:
                 )
             delta = self._parse_delta(message, op)
             deadline = self._parse_deadline(message)
-            include_dual = bool(message.get("include_dual", False))
+            include_dual = self._parse_include_dual(message)
             threshold = message.get("threshold", 0.5)
             if (
                 isinstance(threshold, bool)

@@ -14,6 +14,7 @@ from repro.lp.duality import (
     beta_tight_vertices,
 )
 from repro.lp.reference import ExactSolution, exact_optimum, fractional_optimum
+from repro.lp.scaled import ScaledDual
 
 __all__ = [
     "dual_feasible",
@@ -25,6 +26,7 @@ __all__ = [
     "ApproximationCertificate",
     "beta_for",
     "beta_tight_vertices",
+    "ScaledDual",
     "ExactSolution",
     "exact_optimum",
     "fractional_optimum",

@@ -15,7 +15,8 @@ artifact; tests and benchmarks check certificates on every run.
 
 :meth:`ApproximationCertificate.verify` checks the chain in exact
 integers: every ``delta(e)`` is written over one common denominator
-``L`` (the lcm of the distinct denominators), each edge's numerator is
+``L`` (a :class:`~repro.lp.scaled.ScaledDual`'s own scale, else the lcm
+of the distinct denominators), each edge's numerator is
 added onto its member vertices, and feasibility becomes
 ``load(v) <= L * w(v)`` per vertex and the ratio one big-integer
 comparison.  The :class:`~fractions.Fraction` helpers of
@@ -41,6 +42,7 @@ from repro.lp.covering_lp import (
     require_dual_edge_ids,
     vertex_load,
 )
+from repro.lp.scaled import ScaledDual
 
 __all__ = ["ApproximationCertificate", "beta_tight_vertices", "beta_for"]
 
@@ -118,35 +120,49 @@ class ApproximationCertificate:
 
         Every ``delta(e)`` is brought to one common denominator ``L``
         as ``N_e / L``, so (2) is ``sum_{e in E(v)} N_e <= L * w(v)``
-        in integers and (3) one integer comparison.  The outcome, the
-        exception type and the message are those of the Fraction chain
+        in integers and (3) one integer comparison.  A
+        :class:`~repro.lp.scaled.ScaledDual` already is that form
+        (``L = S``, ``N = D``); any other mapping gets its per-edge
+        ratios and their lcm first.  The outcome, the exception type
+        and the message are those of the Fraction chain
         :func:`~repro.hypergraph.validation.require_cover`,
         :func:`~repro.lp.covering_lp.dual_feasible`,
         :func:`~repro.lp.covering_lp.dual_value`.
         """
         epsilon = Fraction(epsilon)
         chosen = require_cover(hypergraph, cover)
-        require_dual_edge_ids(hypergraph, delta)
-        # Mapping order, so the first negative value rejects before a
-        # later malformed one is converted, as in dual_feasible.  Two
-        # int lists rather than a list of (num, den) tuples: ints are
-        # not tracked by the garbage collector, so a large dual
-        # triggers no collections here.
-        numerators, denominators = [], []
-        for edge_id, value in delta.items():
-            if type(value) is not Fraction and type(value) is not int:
-                value = _as_fraction(value, f"delta({edge_id})")
-            numerator, denominator = value.as_integer_ratio()
-            if numerator < 0:
+        if isinstance(delta, ScaledDual):
+            # Already N_e / L, keyed 0..len-1 with int values: only
+            # keys past the last edge id can be unknown.
+            common, scaled = delta.scale, delta.numerators
+            require_dual_edge_ids(
+                hypergraph, range(hypergraph.num_edges, len(scaled))
+            )
+            if min(scaled, default=0) < 0:
                 raise CertificateError(_INFEASIBLE)
-            numerators.append(numerator)
-            denominators.append(denominator)
-        distinct = set(denominators)
-        common = lcm(*distinct)
-        factors = {den: common // den for den in distinct}
-        scaled = [
-            num * factors[den] for num, den in zip(numerators, denominators)
-        ]
+        else:
+            require_dual_edge_ids(hypergraph, delta)
+            # Mapping order, so the first negative value rejects before
+            # a later malformed one is converted, as in dual_feasible.
+            # Two int lists rather than a list of (num, den) tuples:
+            # ints are not tracked by the garbage collector, so a large
+            # dual triggers no collections here.
+            numerators, denominators = [], []
+            for edge_id, value in delta.items():
+                if type(value) is not Fraction and type(value) is not int:
+                    value = _as_fraction(value, f"delta({edge_id})")
+                numerator, denominator = value.as_integer_ratio()
+                if numerator < 0:
+                    raise CertificateError(_INFEASIBLE)
+                numerators.append(numerator)
+                denominators.append(denominator)
+            distinct = set(denominators)
+            common = lcm(*distinct)
+            factors = {den: common // den for den in distinct}
+            scaled = [
+                num * factors[den]
+                for num, den in zip(numerators, denominators)
+            ]
         edges = hypergraph.edges
         load = [0] * hypergraph.num_vertices
         for edge_id, mass in zip(delta, scaled):

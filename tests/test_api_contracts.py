@@ -88,3 +88,27 @@ class TestVerificationContracts:
             solve_mwhvc(
                 hg, Fraction(1, 16), executor="congest", max_rounds=3
             )
+
+    def test_congest_refuses_fractional_weights_up_front(self, tmp_path):
+        """The CONGEST engine sends weights as integer message fields:
+        a fractional weight is an InvalidInstanceError before any
+        round runs (the CLI exits 2), while integral Fraction weights,
+        normalized to ints, still solve like every other executor."""
+        from repro.cli import main
+        from repro.exceptions import InvalidInstanceError
+        from repro.hypergraph.io import dumps
+
+        fractional = Hypergraph(
+            3, [(0, 1), (1, 2)], weights=[Fraction(3, 2), 1, 2]
+        )
+        with pytest.raises(InvalidInstanceError, match="integer"):
+            solve_mwhvc(fractional, executor="congest")
+        path = tmp_path / "fractional.hg"
+        path.write_text(dumps(fractional))
+        assert main(["solve", str(path), "--executor", "congest"]) == 2
+        integral = Hypergraph(
+            3, [(0, 1), (1, 2)], weights=[Fraction(4, 2), 1, 2]
+        )
+        congest = solve_mwhvc(integral, executor="congest")
+        assert congest.cover == solve_mwhvc(integral).cover
+        assert congest.dual == solve_mwhvc(integral).dual

@@ -13,6 +13,12 @@ Certificates come from random instances with int and Fraction weights,
 solved on every forced kernel lane, with forced mid-run spills, and on
 the lockstep executor.  ``CERT_DIFF_EXAMPLES`` raises the hypothesis
 example count (CI's fastpath-gate job); the default keeps tier-1 quick.
+
+The scaled-integer executors hand out their dual as a
+:class:`~repro.lp.scaled.ScaledDual`, which the checker reads as
+``N_e / L`` directly.  Those duals, and every corruption of their
+``(S, D)``, go through three checks: the checker on the ``ScaledDual``,
+the checker on ``dict()`` of it, and the oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from hypothesis import strategies as st
 
 import repro.core.kernels as kernels_module
 from repro.core.fastpath import HAS_NUMPY
+from repro.core.incremental import solve_state
 from repro.core.params import AlgorithmConfig
 from repro.core.solver import solve_mwhvc
 from repro.exceptions import CertificateError
@@ -36,6 +43,7 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.validation import require_cover
 from repro.lp.covering_lp import dual_feasible, dual_value, vertex_load
 from repro.lp.duality import ApproximationCertificate
+from repro.lp.scaled import ScaledDual
 
 CERT_SETTINGS = settings(
     max_examples=int(os.environ.get("CERT_DIFF_EXAMPLES", "15")),
@@ -45,6 +53,9 @@ CERT_SETTINGS = settings(
 
 LANES = ("int64", "two-limb", "three-limb", "bigint")
 SOLVERS = (*LANES, "spill", "lockstep")
+#: Solvers whose dual is a ScaledDual; "incremental" is the merge of
+#: per-component fragment solves.
+SCALED_SOLVERS = (*LANES, "spill", "incremental")
 
 #: Every machine lane's headroom shrunk to this many bits: a run the
 #: int64 lane admits trips the budget mid-run and carries its state
@@ -89,6 +100,8 @@ def solve(hypergraph, epsilon, solver):
         result = solve_mwhvc(
             hypergraph, config=config, executor="lockstep", verify=False
         )
+    elif solver == "incremental":
+        result = solve_state(hypergraph, config, verify=False).result
     elif solver == "spill":
         with patch.multiple(
             kernels_module,
@@ -207,6 +220,74 @@ def assert_checkers_agree(hypergraph, cover, delta, epsilon, pick=0):
     return rejected
 
 
+def scaled_variants(hypergraph, cover, dual, pick):
+    """``(name, hypergraph, cover, ScaledDual)``: the valid scaled dual
+    first, then every corruption of its ``(S, D)``; ``pick`` chooses the
+    edge or vertex."""
+    scale, numerators = dual.scale, list(dual.numerators)
+    yield "valid", hypergraph, cover, dual
+    if numerators:
+        edge = pick % len(numerators)
+        raised = list(numerators)
+        raised[edge] += 1
+        yield "raise-one", hypergraph, cover, ScaledDual(scale, raised)
+        negated = list(numerators)
+        negated[edge] = -(negated[edge] or 1)
+        yield "negate-one", hypergraph, cover, ScaledDual(scale, negated)
+        yield "drop-last", hypergraph, cover, ScaledDual(
+            scale, numerators[:-1]
+        )
+    if scale > 1:
+        yield "scale-minus-one", hypergraph, cover, ScaledDual(
+            scale - 1, numerators
+        )
+    yield "extra-entry", hypergraph, cover, ScaledDual(
+        scale, [*numerators, 0]
+    )
+    loaded = [
+        (vertex, load)
+        for vertex in range(hypergraph.num_vertices)
+        if (load := vertex_load(hypergraph, dual, vertex)) > 0
+    ]
+    if loaded:
+        vertex, load = loaded[pick % len(loaded)]
+        weights = list(hypergraph.weights)
+        weights[vertex] = load - Fraction(1, 2 * scale)
+        yield "lower-weight", hypergraph.reweighted(weights), cover, dual
+    if cover:
+        members = sorted(cover)
+        dropped = set(cover) - {members[pick % len(members)]}
+        yield "drop-cover-vertex", hypergraph, dropped, dual
+
+
+def assert_scaled_checks_agree(hypergraph, cover, dual, epsilon, pick=0):
+    """The checker on each scaled variant, on ``dict()`` of it, and the
+    oracle agree; returns the rejected variants' names."""
+    assert isinstance(dual, ScaledDual)
+    rank = max(1, hypergraph.rank)
+    rejected = set()
+    for name, graph, chosen, scaled in scaled_variants(
+        hypergraph, cover, dual, pick
+    ):
+        fast = outcome(
+            ApproximationCertificate.verify, graph, chosen, scaled, rank,
+            epsilon,
+        )
+        plain = outcome(
+            ApproximationCertificate.verify, graph, chosen, dict(scaled),
+            rank, epsilon,
+        )
+        reference = outcome(oracle_verify, graph, chosen, scaled, rank, epsilon)
+        assert fast == plain == reference, (
+            f"{name}: {fast!r} / {plain!r} / {reference!r}"
+        )
+        if name == "valid":
+            assert isinstance(fast, ApproximationCertificate)
+        elif not isinstance(fast, ApproximationCertificate):
+            rejected.add(name)
+    return rejected
+
+
 INT_WEIGHTS = st.integers(min_value=1, max_value=10**4)
 #: Beyond int64's and two-limb's headroom: the three-limb regime.
 HUGE_WEIGHTS = st.integers(min_value=10**26, max_value=10**27)
@@ -253,6 +334,18 @@ def test_integer_checker_matches_oracle(solver, hypergraph, epsilon, pick):
     assert_checkers_agree(hypergraph, cover, dual, epsilon, pick)
 
 
+@pytest.mark.parametrize("solver", SCALED_SOLVERS)
+@CERT_SETTINGS
+@given(
+    hypergraph=hypergraphs(),
+    epsilon=EPSILONS,
+    pick=st.integers(min_value=0, max_value=10**6),
+)
+def test_scaled_dual_checks_match_oracle(solver, hypergraph, epsilon, pick):
+    cover, dual = solve(hypergraph, epsilon, solver)
+    assert_scaled_checks_agree(hypergraph, cover, dual, epsilon, pick)
+
+
 def test_midrun_spill_certificate_matches_oracle():
     """A run that spills mid-run still hands out a dual both accept."""
     hypergraph = mixed_rank_hypergraph(
@@ -269,6 +362,9 @@ def test_midrun_spill_certificate_matches_oracle():
     if HAS_NUMPY:
         assert result.lane == "two-limb"
     assert_checkers_agree(hypergraph, result.cover, result.dual, epsilon)
+    assert_scaled_checks_agree(
+        hypergraph, result.cover, result.dual, epsilon
+    )
 
 
 def test_every_corruption_is_caught_somewhere():
@@ -307,4 +403,35 @@ def test_every_corruption_is_caught_somewhere():
         "key-float",
         "key-negative",
         "key-bool",
+    } <= rejected
+
+
+def test_every_scaled_corruption_is_caught_somewhere():
+    """The scaled suite is not vacuous either: over a few seeded
+    instances, lane and merged results, each corruption of ``(S, D)``
+    that must fail is rejected by all three checks."""
+    rejected = set()
+    for seed in range(6):
+        weights = uniform_weights(14, 60, seed=seed + 20)
+        if seed % 2:
+            weights = [
+                Fraction(weight, 1 + vertex % 4)
+                for vertex, weight in enumerate(weights)
+            ]
+        hypergraph = mixed_rank_hypergraph(
+            14, 24, 3, seed=seed, weights=weights
+        )
+        for solver in ("int64", "bigint", "incremental"):
+            cover, dual = solve(hypergraph, Fraction(1, 3), solver)
+            for pick in range(3):
+                rejected |= assert_scaled_checks_agree(
+                    hypergraph, cover, dual, Fraction(1, 3), pick
+                )
+    assert {
+        "raise-one",
+        "negate-one",
+        "scale-minus-one",
+        "extra-entry",
+        "lower-weight",
+        "drop-cover-vertex",
     } <= rejected

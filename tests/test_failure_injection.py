@@ -292,6 +292,7 @@ class TestTransportInjection:
         )
         from repro.core.solver import solve_mwhvc
         from repro.exceptions import WorkerResultError
+        from repro.lp.scaled import ScaledDual
 
         result = solve_mwhvc(
             build_instance(), config=AlgorithmConfig(epsilon=Fraction(1, 2))
@@ -301,7 +302,33 @@ class TestTransportInjection:
         rebuilt = _decode_result(wire, worker=0)
         assert rebuilt.cover == result.cover
         assert rebuilt.weight == result.weight
-        # Wrong container, wrong arity, garbage fields: all typed.
+        assert rebuilt == result
+        # A fastpath result's dual travels as its (scale, numerators).
+        scaled = solve_mwhvc(
+            build_instance(),
+            config=AlgorithmConfig(epsilon=Fraction(1, 2)),
+            executor="fastpath",
+        )
+        scaled_wire = _encode_result(scaled)
+        rebuilt = _decode_result(scaled_wire, worker=0)
+        assert rebuilt == scaled and rebuilt.dual == result.dual
+        assert isinstance(rebuilt.dual, ScaledDual)
+        dual_field = next(
+            position
+            for position, field in enumerate(scaled_wire)
+            if field == (scaled.dual.scale, scaled.dual.numerators)
+        )
+
+        def with_dual(scale, numerators):
+            return (
+                scaled_wire[:dual_field]
+                + ((scale, numerators),)
+                + scaled_wire[dual_field + 1:]
+            )
+
+        numerators = scaled.dual.numerators
+        # Wrong container, wrong arity, garbage fields, malformed
+        # (S, D) pairs: all typed.
         for bad in (
             None,
             [],
@@ -309,6 +336,12 @@ class TestTransportInjection:
             wire[:-1],
             wire + (0,),
             ("junk",) * _RESULT_WIRE_FIELDS,
+            with_dual(0, numerators),
+            with_dual(-scaled.dual.scale, numerators),
+            with_dual(float(scaled.dual.scale), numerators),
+            with_dual(str(scaled.dual.scale), numerators),
+            with_dual(scaled.dual.scale, numerators[:-1] + (1.5,)),
+            with_dual(scaled.dual.scale, numerators[:-1] + ("1",)),
         ):
             with pytest.raises(WorkerResultError):
                 _decode_result(bad, worker=0)

@@ -3,6 +3,8 @@ certificates, and reference optima."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from repro.lp.duality import (
     beta_tight_vertices,
 )
 from repro.lp.reference import HAS_LP_SOLVER, exact_optimum, fractional_optimum
+from repro.lp.scaled import ScaledDual
 
 
 @pytest.fixture
@@ -258,3 +261,126 @@ class TestReferenceOptima:
         result = solve_mwhvc(square, Fraction(1, 2))
         lp_value = fractional_optimum(square)
         assert float(result.dual_total) <= lp_value + 1e-6
+
+
+class TestScaledDual:
+    """``ScaledDual(S, D)`` is a read-only mapping ``e -> D_e / S``."""
+
+    DUAL = ScaledDual(6, [0, 3, 6, 4, -2])
+    EXPECTED = {
+        0: Fraction(0),
+        1: Fraction(1, 2),
+        2: Fraction(1),
+        3: Fraction(2, 3),
+        4: Fraction(-1, 3),
+    }
+
+    def test_reads_as_its_fractions(self):
+        dual = self.DUAL
+        assert len(dual) == 5 and list(dual) == [0, 1, 2, 3, 4]
+        assert [dual[edge] for edge in dual] == list(self.EXPECTED.values())
+        assert dict(dual) == self.EXPECTED
+        assert list(dual.items()) == list(self.EXPECTED.items())
+        assert list(dual.values()) == list(self.EXPECTED.values())
+        assert list(reversed(dual.items())) == list(
+            reversed(self.EXPECTED.items())
+        )
+        assert (3, Fraction(2, 3)) in dual.items()
+        assert dual.get(1) == Fraction(1, 2) and dual.get(5) is None
+        assert 4 in dual and 5 not in dual
+        assert all(type(value) is Fraction for value in dual.values())
+        assert dual.reduced() == ([0, 1, 1, 2, -1], [1, 2, 1, 3, 3])
+
+    def test_equality_with_dicts_both_ways_and_across_scales(self):
+        dual = self.DUAL
+        assert dual == self.EXPECTED and self.EXPECTED == dual
+        assert ScaledDual(12, [0, 6, 12, 8, -4]) == dual
+        assert dual == ScaledDual(12, [0, 6, 12, 8, -4])
+        for other in (
+            ScaledDual(6, [0, 3, 6, 4, -1]),
+            ScaledDual(12, [0, 6, 12, 8, -3]),
+            ScaledDual(6, [0, 3, 6, 4]),
+            {**self.EXPECTED, 4: Fraction(1, 3)},
+            {**self.EXPECTED, 5: Fraction(0)},
+        ):
+            assert dual != other and other != dual
+        assert dual != [0, 3, 6, 4, -2]
+        assert ScaledDual(1, ()) == {} and {} == ScaledDual(7, [])
+
+    def test_keys_outside_the_edge_ids_raise_key_error(self):
+        for key in (-1, 5, 10**30, "0", 1.5, None, (1,)):
+            with pytest.raises(KeyError):
+                self.DUAL[key]
+
+    def test_read_only(self):
+        with pytest.raises(TypeError):
+            self.DUAL[0] = Fraction(1)
+        with pytest.raises(TypeError):
+            del self.DUAL[0]
+        with pytest.raises(TypeError):
+            hash(self.DUAL)
+        copied = dict(self.DUAL)
+        copied[0] = Fraction(1)
+        assert self.DUAL[0] == 0
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for dual in (self.DUAL, ScaledDual(2**70 + 1, [2**80, 0, 3])):
+            for twin in (
+                pickle.loads(pickle.dumps(dual)),
+                copy.deepcopy(dual),
+                copy.copy(dual),
+            ):
+                assert type(twin) is ScaledDual
+                assert twin.scale == dual.scale
+                assert twin.numerators == dual.numerators
+                assert twin == dual
+
+    def test_rejects_a_bad_scale_or_numerator(self):
+        for scale, numerators, error in (
+            (0, [1], ValueError),
+            (-3, [1], ValueError),
+            (2.0, [1], TypeError),
+            (True, [1], TypeError),
+            ("6", [1], TypeError),
+            (6, [1, 2.0], TypeError),
+            (6, [Fraction(1)], TypeError),
+            (6, [True], TypeError),
+        ):
+            with pytest.raises(error):
+                ScaledDual(scale, numerators)
+
+    def test_reduced_pairs_past_int64(self):
+        for scale, numerators in (
+            (2**64, [2**63, 2**64, 0, -(2**65), 3]),
+            (10, [2**63, -(2**63), 5, 0]),
+            (2**62, [-(2**63), 2**61, 1]),
+        ):
+            dual = ScaledDual(scale, numerators)
+            pairs = list(zip(*dual.reduced()))
+            assert pairs == [
+                Fraction(value, scale).as_integer_ratio()
+                for value in numerators
+            ]
+            assert dict(dual) == {
+                edge: Fraction(value, scale)
+                for edge, value in enumerate(numerators)
+            }
+
+    def test_certificate_reads_the_scale_directly(self, square):
+        cover = [1, 3]
+        delta = ScaledDual(2, [1, 1, 1, 1])
+        certificate = ApproximationCertificate.verify(
+            square, cover, delta, 2, Fraction(1)
+        )
+        assert certificate == ApproximationCertificate.verify(
+            square, cover, dict(delta), 2, Fraction(1)
+        )
+        assert certificate.dual_total == 2
+        with pytest.raises(InvalidInstanceError, match="unknown hyperedge 4"):
+            ApproximationCertificate.verify(
+                square, cover, ScaledDual(2, [1] * 6), 2, Fraction(1)
+            )
+        with pytest.raises(CertificateError, match="infeasible"):
+            ApproximationCertificate.verify(
+                square, cover, ScaledDual(2, [1, -1, 1, 1]), 2, Fraction(1)
+            )

@@ -3,6 +3,7 @@ result serialization, and the combined report assembler."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from repro.hypergraph.generators import (
     uniform_weights,
 )
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.lp.scaled import ScaledDual
 
 
 @pytest.fixture
@@ -178,6 +180,75 @@ class TestResultSerialization:
         hg = Hypergraph(2, [(0, 1)])
         result = solve_mwhvc(hg)
         assert "dual" not in result.as_dict()
+
+    @staticmethod
+    def assert_renders_like_dict(result):
+        """A ScaledDual result encodes exactly as its dict copy does."""
+        assert isinstance(result.dual, ScaledDual)
+        plain = dataclasses.replace(result, dual=dict(result.dual))
+        for include_dual in (False, True):
+            assert result.to_json(include_dual=include_dual) == plain.to_json(
+                include_dual=include_dual
+            )
+            assert result.as_dict(include_dual=include_dual) == plain.as_dict(
+                include_dual=include_dual
+            )
+        data = json.loads(result.to_json(include_dual=True))
+        assert list(data["dual"]) == [str(edge) for edge in result.dual]
+
+    @pytest.mark.parametrize(
+        "lane", ["int64", "two-limb", "three-limb", "bigint"]
+    )
+    @pytest.mark.parametrize("weights", ["int", "fraction", "huge"])
+    def test_scaled_dual_encodes_like_its_dict(self, lane, weights):
+        pool = {
+            "int": uniform_weights(12, 40, seed=5),
+            "fraction": [
+                Fraction(3 * vertex + 2, 1 + vertex % 5) for vertex in range(12)
+            ],
+            "huge": [10**26 + 7 * vertex for vertex in range(12)],
+        }[weights]
+        hg = mixed_rank_hypergraph(12, 20, 3, seed=4, weights=pool)
+        result = solve_mwhvc(
+            hg, Fraction(1, 3), executor="fastpath", lane=lane
+        )
+        self.assert_renders_like_dict(result)
+
+    def test_scaled_dual_encoding_edge_cases(self):
+        hg = Hypergraph(3, [(0, 1), (1, 2), (0, 2), (0, 1, 2)], [4, 4, 4])
+        result = solve_mwhvc(hg, executor="fastpath")
+        # Zero and integral values, a negative one, and scales and
+        # numerators past int64 (the math.gcd path).
+        for scale, numerators in (
+            (7, [0, 7, 21, 3]),
+            (7, [0, -14, 5, 0]),
+            (2**63, [2**62, 0, 2**63, 3]),
+            (2**64 + 3, [1, 2**64 + 3, 0, 2**70]),
+            (5, [2**63, 10, 0, 1]),
+        ):
+            self.assert_renders_like_dict(
+                dataclasses.replace(
+                    result, dual=ScaledDual(scale, numerators)
+                )
+            )
+        # Solves whose numerators, or whose scale, pass 2**63.
+        primes = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
+        for weights in (
+            [10**26 + 7 * vertex for vertex in range(12)],
+            [Fraction(10 * vertex + 3, prime) for vertex, prime in enumerate(primes)],
+        ):
+            wide = solve_mwhvc(
+                mixed_rank_hypergraph(12, 20, 3, seed=4, weights=weights),
+                Fraction(1, 3),
+                executor="fastpath",
+            )
+            assert max(wide.dual.scale, *wide.dual.numerators) >= 2**63
+            self.assert_renders_like_dict(wide)
+        assert wide.dual.scale >= 2**63
+        # Edgeless: an empty dual object.
+        empty = solve_mwhvc(Hypergraph(3, []), executor="fastpath")
+        self.assert_renders_like_dict(empty)
+        assert json.loads(empty.to_json(include_dual=True))["dual"] == {}
 
 
 class TestReport:

@@ -812,3 +812,64 @@ def test_per_client_quota_prevents_starvation():
     for seed, burst_response in enumerate(burst_responses):
         assert burst_response["ok"], burst_response
     assert stats["server"]["per_client_pending"] == 1
+
+
+# ----------------------------------------------------------------------
+# include_dual is a JSON boolean
+# ----------------------------------------------------------------------
+
+
+def test_include_dual_accepts_only_json_booleans():
+    """Absent or ``false`` sends no dual and ``true`` sends it; any
+    other value (a string, a list, a number, ``null``) is a bad request
+    naming the field, on ``solve`` and ``update`` alike."""
+    config = AlgorithmConfig(epsilon=Fraction(1, 3))
+    instance = small_instance(5)
+    payload = instance_payload(instance)
+
+    async def main():
+        server = CoverServer(config=config, jobs=2)
+        host, port = await server.start()
+        client = await CoverClient.connect(host, port)
+        try:
+            answers = {}
+            for label, extra in (
+                ("absent", {}),
+                ("false", {"include_dual": False}),
+                ("true", {"include_dual": True}),
+            ):
+                answers[label] = await client.request(
+                    {"op": "solve", "id": label, **payload, **extra}
+                )
+            bad = []
+            for index, value in enumerate(
+                ("false", "true", [1], 1, 0, None, {})
+            ):
+                bad.append(
+                    await client.request(
+                        {"op": "solve", "id": f"bad{index}", **payload,
+                         "include_dual": value}
+                    )
+                )
+            bad.append(
+                await client.request(
+                    {"op": "update", "id": "bad-update", "base": "absent",
+                     "remove_edges": [0], "include_dual": "false"}
+                )
+            )
+            return answers, bad
+        finally:
+            await client.close()
+            await server.shutdown()
+
+    answers, bad = asyncio.run(main())
+    assert response_dict(answers["absent"]) == solo_dict(instance, config)
+    assert response_dict(answers["false"]) == solo_dict(instance, config)
+    assert response_dict(answers["true"]) == solo_dict(
+        instance, config, include_dual=True
+    )
+    assert "dual" in answers["true"]["result"]
+    for response in bad:
+        assert response["ok"] is False, response
+        assert response["kind"] == "bad-request", response
+        assert "'include_dual'" in response["error"], response
