@@ -1,4 +1,5 @@
-"""Batched fastpath executor: many MWHVC instances, one CSR arena.
+"""Batched fastpath executor and the spill ladder: many MWHVC instances,
+one CSR arena per machine lane.
 
 Serving request waves means solving many *independent* small-to-medium
 instances per call, and the per-instance dispatch overhead of running
@@ -12,33 +13,31 @@ single vectorized sweep can advance a whole batch at once:
   into one shared CSR arena (disjoint global vertex/edge id ranges with
   per-instance offset tables);
 * the sweep engine itself is the shared kernel layer of
-  :class:`repro.core.kernels.LaneRun` — the same guarded machine-width
-  kernels the single-instance fastpath loop uses since PR 3 — with
-  instances that have already halted masked out of the live index
-  sets;
+  :class:`repro.core.kernels.LaneRun`, with instances that have
+  already halted masked out of the live index sets;
 * the transition *formulas* are the same ``*_scaled`` pure functions
   every scaled executor uses, and iteration 0 is the shared
   :func:`repro.core.fastpath.prepare_scaled_state`.
 
-Exactness is non-negotiable: results must be **bit-identical** to K
-sequential ``executor="fastpath"`` runs.  Eligible instances therefore
-run in an ``int64`` arena only while the conservative headroom bound
-of :func:`repro.core.kernels.scale_limit` guarantees that no sweep
-intermediate can overflow; instances that outgrow int64 — up front or
-mid-run — step down the spill ladder instead of erroring: one arena
-per machine lane (``kernels.MACHINE_LANES``: int64, the two-limb
-~128-bit lane, the three-limb ~192-bit lane) admits progressively
-larger scale / alpha / weight regimes, and anything beyond the widest
-machine lane (or structurally ineligible: no numpy, fractional alphas,
-Appendix C increments, checked mode) is solved by the scalar fastpath
-executor, whose unbounded Python integers implement the identical
-transitions.  Mid-run spills *carry* the instance's live scaled state
-across the lane boundary (see
-:meth:`repro.core.kernels.LaneRun._extract_carry`): each wider arena
-and the big-int loop resume from the interrupted iteration, never
-replaying finished work.  Any lane, same bits — the differential
-tests in ``tests/test_batch_executor.py`` and
-``tests/test_kernel_lanes.py`` enforce it instance by instance.
+:func:`run_ladder` is the only spill ladder in the engine.  Batches,
+solo ``run_fastpath`` runs on a machine lane (K = 1) and incremental
+fragment re-solves all go through it.  Exactness is non-negotiable:
+results must be **bit-identical** to K sequential
+``executor="fastpath"`` runs.  Each instance joins the strongest lane
+of :data:`repro.core.kernels.LANE_TABLE` whose headroom bound
+(:func:`repro.core.kernels.scale_limit`) guarantees that no sweep
+intermediate can overflow — int64, then the two-limb ~128-bit lane,
+then the three-limb ~192-bit lane — and every lane runs one arena.
+Instances that outgrow their lane mid-run *carry* their live scaled
+state (see :meth:`repro.core.kernels.LaneRun._extract_carry`) to the
+next lane that admits it, resuming from the interrupted iteration.
+Anything beyond the widest machine lane (or structurally ineligible:
+no numpy, fractional alphas, Appendix C increments, checked mode) is
+solved by the unbounded big-int loop, ``run_fastpath(...,
+lane="bigint")``, whose Python integers implement the identical
+transitions.  Any lane, same bits — the differential tests in
+``tests/test_batch_executor.py`` and ``tests/test_kernel_lanes.py``
+enforce it instance by instance, against lockstep as well.
 
 For multi-core scaling, :mod:`repro.core.parallel` shards a batch
 across a persistent worker pool (``solve_mwhvc_batch(..., jobs=N)``),
@@ -50,41 +49,23 @@ from __future__ import annotations
 from repro.core import kernels
 from repro.core.fastpath import (
     HAS_NUMPY,
+    finalize_lane_instance,
+    machine_rungs,
     prepare_scaled_state,
     run_fastpath,
 )
 from repro.core.kernels import (
-    MACHINE_LANES,
+    LANE_TABLE,
     LaneRun,
-    finalize_lane_instance,
-    headroom_factor,
+    default_scale_limits,
     lane_eligibility,
-    lane_ops,
 )
-from repro.core.lockstep import empty_instance_rounds
 from repro.core.params import AlgorithmConfig
-from repro.core.result import AlgorithmStats, CoverResult
-from repro.core.runner import finalize_result
+from repro.core.result import CoverResult
 from repro.hypergraph.csr import slice_arena
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.lp.scaled import ScaledDual
 
-__all__ = ["run_fastpath_batch", "arena_eligibility"]
-
-#: Override for the int64 arena's headroom budget.  ``None`` (the
-#: default) defers to ``kernels.INT64_HEADROOM_BITS`` at call time, so
-#: the solo fastpath and the batch arena always agree on the budget;
-#: tests shrink this module attribute to force arena-only spills onto
-#: the wider lanes.
-_HEADROOM_BITS: int | None = None
-
-
-def _int64_headroom_bits() -> int:
-    return (
-        _HEADROOM_BITS
-        if _HEADROOM_BITS is not None
-        else kernels.INT64_HEADROOM_BITS
-    )
+__all__ = ["run_fastpath_batch", "run_ladder", "arena_eligibility"]
 
 
 def arena_eligibility(
@@ -101,36 +82,9 @@ def arena_eligibility(
     fractional weights whose scaled range exceeds the headroom): those
     are simply ineligible and take a wider lane.
     """
-    if not HAS_NUMPY:
-        return False, "numpy unavailable"
-    if hypergraph.num_edges == 0:
-        return False, "empty instance (solved directly)"
-    if state is None:
+    if state is None and HAS_NUMPY and hypergraph.num_edges:
         state = prepare_scaled_state(hypergraph, config)
-    return lane_eligibility(
-        hypergraph,
-        config,
-        state,
-        lane="int64",
-        headroom_bits=_int64_headroom_bits(),
-    )
-
-
-def _scale_limit(
-    hypergraph: Hypergraph, config: AlgorithmConfig, state
-) -> int:
-    """Largest scale keeping every int64 sweep intermediate in bounds.
-
-    Delegates to :func:`repro.core.kernels.scale_limit` with this
-    module's (test-adjustable) headroom budget.
-    """
-    rank = hypergraph.rank
-    return kernels.scale_limit(
-        hypergraph.max_weight,
-        headroom_factor(config, rank, state),
-        config.z(rank),
-        _int64_headroom_bits(),
-    )
+    return lane_eligibility(hypergraph, config, state, lane="int64")
 
 
 def run_fastpath_batch(
@@ -142,163 +96,135 @@ def run_fastpath_batch(
 ) -> list[CoverResult]:
     """Solve K independent instances, bit-identical to K fastpath runs.
 
-    Eligible instances are packed into one shared CSR arena per kernel
-    lane (int64 first, then the two-limb and three-limb wide lanes for
-    instances beyond int64's headroom) and advanced together, one
-    vectorized sweep per
-    iteration, masking instances that have already halted; the rest —
-    and any instance whose scale outgrows its arena's headroom mid-run
-    — step down the spill ladder to the scalar
-    :func:`~repro.core.fastpath.run_fastpath`.  Per-instance results —
-    covers, duals, iterations, rounds, levels, statistics and
-    certificates — are indistinguishable from running the instances
-    one at a time with ``executor="fastpath"``.
+    The instances climb :func:`run_ladder` from the strongest lane:
+    one shared CSR arena per kernel lane, advanced together one
+    vectorized sweep per iteration, with spills carried to wider lanes
+    and finally to the big-int loop.  Per-instance results — covers,
+    duals, iterations, rounds, levels, statistics and certificates —
+    are indistinguishable from running the instances one at a time
+    with ``executor="fastpath"``.
 
     ``arena`` may pass the instances' already-packed
     :class:`~repro.hypergraph.csr.BatchArena` (positionally matching
     ``hypergraphs``, e.g. a worker's shipped shard): the per-lane
-    eligibility groups are then *sliced* out of it
+    groups are then *sliced* out of it
     (:func:`~repro.hypergraph.csr.slice_arena`) instead of re-packed
     from the instances — same bits, minus the rebuild.
     """
-    config = config or AlgorithmConfig()
-    instances = list(hypergraphs)
+    return run_ladder(
+        list(hypergraphs), config or AlgorithmConfig(), verify=verify,
+        arena=arena,
+    )
+
+
+def run_ladder(
+    instances: list[Hypergraph],
+    config: AlgorithmConfig,
+    *,
+    verify: bool,
+    start: str = "auto",
+    states=None,
+    arena=None,
+) -> list[CoverResult]:
+    """The spill ladder: every instance on its cheapest exact lane.
+
+    ``start`` is the strongest lane any instance may use (a ``lane=``
+    name; ``"bigint"`` sends every instance to the big-int loop).
+    ``states`` may give each instance's precomputed iteration-0
+    :class:`~repro.core.fastpath.ScaledState` (``None`` entries are
+    computed here); ``arena`` is the instances' packed arena, sliced
+    per lane instead of re-packed.
+
+    Each instance joins the first lane from ``start`` that admits it,
+    and the lanes run strongest first, one arena each.  A member whose
+    scale outgrows its lane mid-run carries its state to the next lane
+    that admits the carried scale (joining that lane's arena, which
+    therefore runs only after every stronger one), or else to the
+    big-int loop; either way it resumes from the interrupted
+    iteration.  When every member of an arena spills to the same lane
+    and that lane runs next with no other member, it reuses the arena
+    and its incidence transpose instead of re-packing and re-sorting.
+    """
+    rungs = machine_rungs(start)
     results: list[CoverResult | None] = [None] * len(instances)
-    # Arena members are ``(index, hypergraph, state, carry)`` — the
-    # carry (None for fresh instances) travels inside the tuple so it
-    # can never fall out of alignment with its instance.  One group per
-    # machine lane; each instance joins the strongest lane that admits
-    # it (the int64 rung honors this module's headroom override).
-    groups: dict[str, list[tuple[int, Hypergraph, object, dict | None]]] = {
-        lane: [] for lane in MACHINE_LANES
-    }
-    solo: list[tuple[int, str, dict | None]] = []
-    prepared: dict[int, object] = {}
+    # Members are ``(index, hypergraph, state, carry)``; the carry
+    # (None for a fresh instance) travels inside the tuple so it can
+    # never fall out of alignment with its instance.
+    groups: dict[str, list] = {lane: [] for lane in rungs}
+    floor: list[tuple[int, object, dict | None]] = []
+
+    def place(member, lanes, scale=None):
+        index, hypergraph, state, carry = member
+        if state is not None:
+            for lane in lanes:
+                admits, _ = lane_eligibility(
+                    hypergraph, config, state, lane=lane, scale=scale
+                )
+                if admits:
+                    groups[lane].append(member)
+                    return
+        floor.append((index, state, carry))
+
     for index, hypergraph in enumerate(instances):
         if kernels._BEAT is not None:
             kernels._BEAT()
-        if hypergraph.num_edges == 0:
-            results[index] = _empty_result(hypergraph, config, verify)
-            continue
-        state = None
-        if HAS_NUMPY:
+        state = states[index] if states is not None else None
+        if state is None and rungs and HAS_NUMPY and hypergraph.num_edges:
             state = prepare_scaled_state(hypergraph, config)
-            prepared[index] = state
-        eligible, _ = arena_eligibility(hypergraph, config, state)
-        if eligible:
-            groups["int64"].append((index, hypergraph, state, None))
-            continue
-        if state is not None:
-            for lane in MACHINE_LANES[1:]:
-                wider, _ = lane_eligibility(
-                    hypergraph, config, state, lane=lane
-                )
-                if wider:
-                    groups[lane].append((index, hypergraph, state, None))
-                    break
-            else:
-                solo.append((index, "auto", None))
-            continue
-        solo.append((index, "auto", None))
+        place((index, hypergraph, state, None), rungs)
 
-    def run_arena(members, ops, limits):
-        """Finalize completed members; return spilled ones with carries."""
-        carries = [member[3] for member in members]
-        lane_arena = (
-            slice_arena(arena, [member[0] for member in members])
-            if arena is not None
-            else None
-        )
-        solved, spills = LaneRun(
-            [member[1] for member in members],
-            [member[2] for member in members],
-            config,
-            ops=ops,
-            limits=limits,
+    def run_arena(rung, lane, members, reuse):
+        """Run one lane's arena: finalize its finishers, place its spills.
+        Returns what the next lane may reuse when every member spilled."""
+        indices, hypergraphs, lane_states, carries = map(list, zip(*members))
+        transpose = None
+        if reuse is not None and reuse[0] == indices:
+            _, lane_arena, transpose = reuse
+        elif arena is not None:
+            lane_arena = slice_arena(arena, indices)
+        else:
+            lane_arena = None
+        run = LaneRun(
+            hypergraphs, lane_states, config,
+            ops=LANE_TABLE[lane].ops,
+            limits=default_scale_limits(
+                hypergraphs, config, lane_states, lane=lane
+            ),
             carries=carries if any(carries) else None,
             arena=lane_arena,
-        ).solve()
-        spilled = []
+            transpose=transpose,
+        )
+        solved, spills = run.solve()
+        spilled_all = len(spills) == len(members)
+        reuse = (indices, run.arena, run.transpose) if spilled_all else None
+        del run  # free the lane's value arrays before finalizing
         for position, (index, hypergraph, state, _) in enumerate(members):
             if kernels._BEAT is not None:
                 kernels._BEAT()
-            if position in spills:
-                spilled.append((index, hypergraph, state, spills[position]))
-            else:
+            carry = spills.get(position)
+            if carry is None:
                 results[index] = finalize_lane_instance(
-                    hypergraph, config, solved[position], verify,
-                    lane=ops.name,
+                    hypergraph, config, solved[position], verify, lane=lane
                 )
-        return spilled
-
-    # Run one arena per lane, strongest first.  Mid-run spills resume
-    # *from the interrupted iteration* on the next lane whose headroom
-    # admits the carried scale (joining that lane's up-front members —
-    # a wider group is only launched after every narrower one has run),
-    # else on the scalar big-int loop — never replaying finished
-    # iterations.
-    for rung, lane in enumerate(MACHINE_LANES):
-        members = groups[lane]
-        if not members:
-            continue
-        if lane == "int64":
-            limits = [
-                _scale_limit(hypergraph, config, state)
-                for _, hypergraph, state, _ in members
-            ]
-        else:
-            limits = kernels.default_scale_limits(
-                [member[1] for member in members],
-                config,
-                [member[2] for member in members],
-                lane=lane,
-            )
-        spilled = run_arena(members, lane_ops(lane), limits)
-        wider_lanes = MACHINE_LANES[rung + 1:]
-        for index, hypergraph, state, carry in spilled:
-            for wider in wider_lanes:
-                admits, _ = lane_eligibility(
-                    hypergraph, config, state, lane=wider,
+            else:
+                place(
+                    (index, hypergraph, state, carry),
+                    rungs[rung + 1:],
                     scale=carry["scale"],
                 )
-                if admits:
-                    groups[wider].append((index, hypergraph, state, carry))
-                    break
-            else:
-                solo.append((index, "bigint", carry))
+        return reuse
 
-    # Spill ladder tail: up-front ineligible instances run through the
-    # scalar fastpath executor, reusing the already-computed iteration-0
-    # state (the arenas only copy it, so spilled states are pristine);
-    # instances that spilled past the widest machine arena resume the
-    # big-int loop from their carried iteration.
-    for index, lane, carry in solo:
+    reuse = None
+    for rung, lane in enumerate(rungs):
+        if groups[lane]:
+            reuse = run_arena(rung, lane, groups[lane], reuse)
+
+    # The floor reuses each instance's iteration-0 state (the arenas
+    # only copy it, so a spilled state is pristine) and resumes a
+    # spilled instance from its carried iteration.
+    for index, state, carry in floor:
         results[index] = run_fastpath(
-            instances[index],
-            config,
-            verify=verify,
-            state=prepared.get(index),
-            lane=lane,
-            carry=carry,
+            instances[index], config, verify=verify, state=state,
+            lane="bigint", carry=carry,
         )
     return results  # type: ignore[return-value]
-
-
-def _empty_result(
-    hypergraph: Hypergraph, config: AlgorithmConfig, verify: bool
-) -> CoverResult:
-    """The edgeless-instance result (same as fastpath's early return)."""
-    n = hypergraph.num_vertices
-    return finalize_result(
-        hypergraph,
-        config,
-        cover=frozenset(),
-        dual=ScaledDual(1, ()),
-        levels=(0,) * n,
-        stats=AlgorithmStats.empty(level_cap=config.z(hypergraph.rank)),
-        alphas=[],
-        iterations=0,
-        rounds=empty_instance_rounds(n),
-        metrics=None,
-        verify=verify,
-    )

@@ -27,14 +27,17 @@ halting-round schedule from :mod:`repro.core.lockstep` — the same
 single source of truth the object cores use.
 
 Since PR 3 the executor selects an arithmetic **lane** per run (see
-:mod:`repro.core.kernels`): instances whose headroom bound fits
-machine width run the whole iteration loop on vectorized ``int64``
-arrays (or on the two-limb multi-word representation up to ``2**93``
-and the three-limb one up to ``2**124`` when they outgrow int64),
-falling back transparently to the unbounded big-int loop below —
-``"bigint"`` — when no bound holds or when a lane's scale outgrows its
-headroom mid-run.  Every lane is bit-identical; ``lane="..."`` forces
-the ladder's entry point for tests and diagnostics.
+:data:`repro.core.kernels.LANE_TABLE`): instances whose headroom bound
+fits machine width run the whole iteration loop on vectorized
+``int64`` arrays (or on the two-limb multi-word representation up to
+``2**93`` and the three-limb one up to ``2**124`` when they outgrow
+int64), falling back transparently to the unbounded big-int loop below
+— ``"bigint"`` — when no bound holds or when a lane's scale outgrows
+its headroom mid-run.  That spill ladder is
+:func:`repro.core.batch.run_ladder`, the one batches use; a solo run is
+a batch of one, and this module keeps the big-int loop it ends on.
+Every lane is bit-identical; ``lane="..."`` forces the ladder's entry
+point for tests and diagnostics.
 
 In the big-int loop, when numpy is importable the structural
 per-iteration reductions (per-edge halving totals, per-edge raise
@@ -52,14 +55,7 @@ from math import gcd, lcm
 
 from repro.core import kernels
 from repro.core.edge_logic import argmin_member, initial_bid, initial_bid_scaled
-from repro.core.kernels import (
-    MACHINE_LANES,
-    LaneRun,
-    default_scale_limits,
-    finalize_lane_instance,
-    lane_eligibility,
-    lane_ops,
-)
+from repro.core.kernels import MACHINE_LANES
 from repro.core.lockstep import (
     INIT_EXCHANGE_ROUNDS,
     empty_instance_rounds,
@@ -97,6 +93,8 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "run_fastpath",
     "prepare_scaled_state",
+    "finalize_lane_instance",
+    "machine_rungs",
     "ScaledState",
     "HAS_NUMPY",
     "LANES",
@@ -108,6 +106,16 @@ HAS_NUMPY = _np is not None
 #: Valid ``lane=`` arguments: the spill ladder, strongest first, plus
 #: ``"auto"`` (equivalent to starting at the top).
 LANES = ("auto",) + MACHINE_LANES + ("bigint",)
+
+
+def machine_rungs(lane: str) -> tuple[str, ...]:
+    """The machine lanes a run entering the ladder at ``lane`` may use
+    (none for ``"bigint"``); an unknown ``lane`` is an error."""
+    if lane not in LANES:
+        raise InvalidInstanceError(
+            f"lane must be one of {', '.join(LANES)}, got {lane!r}"
+        )
+    return MACHINE_LANES[max(LANES.index(lane) - 1, 0):]
 
 
 @dataclass(slots=True)
@@ -461,35 +469,34 @@ def run_fastpath(
 
     ``state`` may pass a precomputed
     :func:`prepare_scaled_state` result for this exact
-    ``(hypergraph, config)`` pair — the batch executor uses this to
-    avoid repeating iteration 0 for instances it spills to this scalar
-    lane.  The state is consumed (mutated) by the run.
+    ``(hypergraph, config)`` pair — the spill ladder uses this to
+    avoid repeating iteration 0 for instances it hands to the big-int
+    loop.  The state is consumed (mutated) by the run.
 
     ``lane`` names the strongest arithmetic lane the run may attempt
-    (``"auto"`` == ``"int64"``): the iteration loop runs on machine
-    width whenever the lane's headroom bound admits the instance, and
-    degrades transparently down the ladder — int64 -> two-limb ->
+    (``"auto"`` == ``"int64"``).  Any machine lane runs the instance
+    through the spill ladder (:func:`repro.core.batch.run_ladder`, the
+    same code that advances batches): the iteration loop runs on
+    machine width whenever the lane's headroom bound admits the
+    instance, and degrades transparently — int64 -> two-limb ->
     three-limb -> bigint — when a lane is ineligible or its scale
-    outgrows the
-    headroom mid-run.  A mid-run spill *carries* the live scaled state
-    across the lane boundary (see
-    :meth:`repro.core.kernels.LaneRun._extract_carry`): the wider lane
-    resumes from the interrupted iteration instead of replaying from
-    iteration 0.  Results are bit-identical on every lane (the
-    completing lane is reported in ``CoverResult.lane``);
+    outgrows the headroom mid-run, each wider lane resuming from the
+    interrupted iteration.  Results are bit-identical on every lane
+    (the completing lane is reported in ``CoverResult.lane``);
     ``lane="bigint"`` pins the unbounded big-int loop.  Observers are
     a big-int-loop feature: with an ``observer``, ``"auto"`` runs the
     big-int loop and explicitly forcing a machine lane is an error.
 
-    ``carry`` resumes this run from a previously extracted spill state
-    (requires the matching ``state``); the batch executor uses it to
-    hand an instance that outgrew an arena mid-run to the next lane
-    without repeating the finished iterations.
+    ``carry`` resumes the big-int loop from a machine lane's mid-run
+    spill state (see :meth:`repro.core.kernels.LaneRun._extract_carry`;
+    requires the matching ``state``), so the ladder's floor repeats no
+    finished iteration.  It is accepted only with ``lane="bigint"``.
     """
     config = config or AlgorithmConfig()
-    if lane not in LANES:
+    machine_rungs(lane)  # validates ``lane``
+    if carry is not None and lane != "bigint":
         raise InvalidInstanceError(
-            f"lane must be one of {', '.join(LANES)}, got {lane!r}"
+            f"carry resumes the big-int loop only; got lane={lane!r}"
         )
     if observer is not None and lane in MACHINE_LANES:
         # The machine lanes have no observer hook; silently running the
@@ -517,60 +524,60 @@ def run_fastpath(
             verify=verify,
         )
 
+    # Machine-width lanes (the big win: the whole iteration loop runs
+    # as numpy kernels) go through the one spill ladder, which hands
+    # the instance back to this function with ``lane="bigint"`` when
+    # no machine lane can finish it.  ``batch`` imports this module.
+    if observer is None and lane != "bigint":
+        from repro.core.batch import run_ladder
+
+        return run_ladder(
+            [hypergraph], config, verify=verify, start=lane, states=[state]
+        )[0]
+
     # ------------------------------------------------------------------
     # Iteration 0: alphas, argmins, the initial global scale and bids.
     # ------------------------------------------------------------------
     if state is None:
         state = prepare_scaled_state(hypergraph, config)
-
-    # Machine-width lanes (the big win: the whole iteration loop runs
-    # as numpy kernels).  The lane loops read ``state`` without
-    # mutating it; a mid-run spill extracts the instance's sweep-start
-    # state as a carry, and the next lane down the ladder resumes from
-    # that iteration — only the interrupted sweep is re-executed.
-    if HAS_NUMPY and observer is None and lane != "bigint":
-        start = "int64" if lane == "auto" else lane
-        ladder = MACHINE_LANES[MACHINE_LANES.index(start):]
-        # The CSR packing and its incidence transpose are lane-neutral,
-        # so a spill resumes on the next rung without re-packing or
-        # re-sorting — only the value arrays are rebuilt (wider).
-        arena = None
-        transpose = None
-        for lane_name in ladder:
-            eligible, _ = lane_eligibility(
-                hypergraph,
-                config,
-                state,
-                lane=lane_name,
-                scale=carry["scale"] if carry else None,
-            )
-            if not eligible:
-                continue
-            run = LaneRun(
-                [hypergraph],
-                [state],
-                config,
-                ops=lane_ops(lane_name),
-                limits=default_scale_limits(
-                    [hypergraph], config, [state], lane=lane_name
-                ),
-                carries=[carry] if carry else None,
-                arena=arena,
-                transpose=transpose,
-            )
-            arena = run.arena
-            transpose = run.transpose
-            solved, spills = run.solve()
-            if 0 in spills:
-                carry = spills[0]
-                continue
-            return finalize_lane_instance(
-                hypergraph, config, solved[0], verify, lane=lane_name
-            )
-
     return _run_bigint(
         hypergraph, config, verify=verify, observer=observer, state=state,
         carry=carry,
+    )
+
+
+def finalize_lane_instance(
+    hypergraph: Hypergraph,
+    config: AlgorithmConfig,
+    raw: dict,
+    verify: bool,
+    *,
+    lane: str,
+) -> CoverResult:
+    """Build (and, with ``verify``, certify) one machine-lane result.
+
+    ``raw`` is one instance's entry of
+    :meth:`repro.core.kernels.LaneRun.solve`.  The dual is the lane's
+    own packing, ``ScaledDual(scale, delta)``: no Fraction is built
+    here, the certificate reads the integers directly, and the
+    per-edge gcd runs only when the dual is rendered.
+    """
+    scale = raw["scale"]
+    delta = raw["delta"]
+    return finalize_result(
+        hypergraph,
+        config,
+        cover=frozenset(raw["cover"]),
+        dual=ScaledDual(scale, delta),
+        levels=tuple(raw["levels"]),
+        stats=raw["stats"],
+        alphas=raw["alphas"],
+        iterations=raw["iterations"],
+        rounds=raw["rounds"],
+        metrics=None,
+        verify=verify,
+        dual_total=scaled_fraction(sum(delta), scale),
+        lane=lane,
     )
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from repro.core.batch import run_fastpath_batch
+from repro.core.batch import run_ladder
 from repro.core.fastpath import run_fastpath
 from repro.core.params import AlgorithmConfig
 from repro.core.result import AlgorithmStats, CoverResult
@@ -186,17 +186,10 @@ def _run_jobs(
                 f"for {len(jobs)} jobs"
             )
         return results
-    if lane == "auto":
-        return run_fastpath_batch(
-            [instance for instance, _ in jobs],
-            jobs[0][1],
-            verify=False,
-            arena=arena,
-        )
-    return [
-        run_fastpath(instance, config, verify=False, lane=lane)
-        for instance, config in jobs
-    ]
+    return run_ladder(
+        [instance for instance, _ in jobs], jobs[0][1], verify=False,
+        start=lane, arena=arena,
+    )
 
 
 def _merge(
@@ -326,8 +319,8 @@ def solve_state(
     ``version`` ties the state to a :class:`MutableHypergraph` history
     so later calls can pass the store itself instead of a delta;
     ``solver`` overrides how fragment jobs run (e.g. through a
-    session's worker pool); ``lane`` forces a specific executor lane
-    (differential tests) — both disable the packed-arena reuse path.
+    session's worker pool) and disables the packed-arena reuse path;
+    ``lane`` is the spill ladder's start rung (differential tests).
     """
     config = config if config is not None else AlgorithmConfig()
     fragments = _fragments_of(hypergraph)
@@ -342,7 +335,7 @@ def solve_state(
         )
     pinned = config.pinned(hypergraph.rank, hypergraph.max_degree)
     arena = None
-    if solver is None and lane == "auto":
+    if solver is None:
         arena = pack_arena([fragment.instance for fragment in fragments])
     results = _run_jobs(
         [(fragment.instance, pinned) for fragment in fragments],
@@ -532,7 +525,7 @@ def resolve_incremental(
 
     pinned = config.pinned(mutated.rank, mutated.max_degree)
     arena = None
-    if solver is None and lane == "auto" and fragments:
+    if solver is None and fragments:
         arena = _patched_arena(state, delta, fragments, dirty)
         if arena is None:
             arena = pack_arena(

@@ -28,8 +28,12 @@ same guarded kernels:
   ``2**124``, and that lane's multipliers get a 62-bit budget by
   splitting them into 31-bit halves, so the huge-``beta_den`` regimes
   (the f-approximation's tiny epsilon on big weights) stay on machine
-  arithmetic instead of falling through to big-int.  Both budgets are
-  checked by eligibility;
+  arithmetic instead of falling through to big-int;
+* **the lane table** (:data:`LANE_TABLE`) — one row per machine lane,
+  strongest first: its ops, headroom bits, multiplier budget and
+  shard-balancing cost factor.  Eligibility, the spill ladder
+  (:func:`repro.core.batch.run_ladder`), the cost model and the worker
+  payload all read it, so a new lane is one new row;
 * **the sweep engine** (:class:`LaneRun`) — the per-iteration
   vectorized protocol (tightness, level increments, halvings, raise
   unanimity, dual growth) over a shared CSR arena of K >= 1 instances,
@@ -57,14 +61,14 @@ cores.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import log2
 
 from repro.core.lockstep import INIT_EXCHANGE_ROUNDS, phase_a_round
-from repro.core.numeric import exact_scaled_int, scaled_fraction
+from repro.core.numeric import exact_scaled_int
 from repro.core.params import AlgorithmConfig
-from repro.core.result import AlgorithmStats, CoverResult
-from repro.core.runner import finalize_result
+from repro.core.result import AlgorithmStats
 from repro.core.state import SolveState
 from repro.core.vertex_logic import (
     is_tight_scaled,
@@ -72,13 +76,11 @@ from repro.core.vertex_logic import (
     wants_raise_scaled,
 )
 from repro.exceptions import (
-    InvalidInstanceError,
     InvariantViolationError,
     RoundLimitExceededError,
 )
 from repro.hypergraph.csr import BatchArena, CSRLayout, pack_arena
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.lp.scaled import ScaledDual
 
 try:  # pragma: no cover - exercised implicitly by either branch
     import numpy as _np
@@ -87,53 +89,22 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "HAS_NUMPY",
-    "INT64_HEADROOM_BITS",
-    "TWO_LIMB_HEADROOM_BITS",
-    "THREE_LIMB_HEADROOM_BITS",
+    "LANE_TABLE",
     "MACHINE_LANES",
+    "MachineLane",
     "Int64Ops",
     "LimbOps",
     "TwoLimbOps",
     "ThreeLimbOps",
     "LaneRun",
-    "lane_ops",
     "lane_eligibility",
     "headroom_factor",
     "scale_limit",
     "default_scale_limits",
-    "finalize_lane_instance",
 ]
 
 #: Whether the vectorized kernel lanes are available in this process.
 HAS_NUMPY = _np is not None
-
-#: Bit budget for every intermediate of one int64 sweep.
-INT64_HEADROOM_BITS = 62
-
-#: Bit budget for the two-limb (hi/lo int64 pair) lane.  Values are
-#: ``hi * 2**32 + lo``; partial reduceat sums of the ``hi`` limbs stay
-#: below ``2**(93 - 32) * segment_length < 2**63`` and limb products of
-#: a 31-bit multiplier stay inside int64, so 93 bits is the safe range.
-TWO_LIMB_HEADROOM_BITS = 93
-
-#: Bit budget for the three-limb (hi/mid/lo int64 triple) lane.  Values
-#: are ``hi * 2**64 + mid * 2**32 + lo``; the headroom bound keeps
-#: ``hi`` below ``2**60``, so partial reduceat sums of the ``hi`` limbs
-#: and every digit product of a 31-bit multiplier chunk stay inside
-#: int64 — 124 bits is the safe range.
-THREE_LIMB_HEADROOM_BITS = 124
-
-#: Two-limb multiplications split into int64 limb products, which caps
-#: every scalar multiplier (``beta_den``, ``alpha_num``, ``2**(z+2)``)
-#: at 31 bits.
-SMALL_FACTOR_BITS = 31
-
-#: The three-limb lane splits each scalar multiplier into two 31-bit
-#: halves (``c = c_hi * 2**31 + c_lo``, one digit-product pass each
-#: plus a carry add), which doubles the multiplier budget to 62 bits —
-#: enough for the huge ``beta_den`` / large-``z`` f-approximation
-#: regime that the two-limb 31-bit cap rejects.
-THREE_LIMB_FACTOR_BITS = 62
 
 #: Largest value an ``int64`` lane cell can hold; the vectorized
 #: weight-scaling guard in :class:`LaneRun` proves products stay at or
@@ -144,10 +115,6 @@ _INT64_MAX = (1 << 63) - 1
 LIMB_BITS = 32
 
 _LIMB_MASK = (1 << LIMB_BITS) - 1
-
-#: The machine-width lanes, strongest first; the spill ladder appends
-#: the unbounded big-int executor after these.
-MACHINE_LANES = ("int64", "two-limb", "three-limb")
 
 #: Progress hook of a supervised pool worker (``None`` everywhere
 #: else): called per sweep here and per iteration and instance in the
@@ -201,31 +168,19 @@ def scale_limit(
 PREFILTER_MARGIN_BITS = 0.5
 
 
-def _lane_headroom_bits(lane: str) -> int:
-    # Read the module globals at call time so tests can monkeypatch the
-    # budgets to force spills.
-    if lane == "int64":
-        return INT64_HEADROOM_BITS
-    if lane == "two-limb":
-        return TWO_LIMB_HEADROOM_BITS
-    if lane == "three-limb":
-        return THREE_LIMB_HEADROOM_BITS
-    raise InvalidInstanceError(f"unknown machine lane {lane!r}")
-
-
 def lane_eligibility(
     hypergraph: Hypergraph,
     config: AlgorithmConfig,
     state,
     *,
     lane: str,
-    headroom_bits: int | None = None,
     scale: int | None = None,
 ) -> tuple[bool, str]:
     """Whether ``lane`` can run this instance exactly.
 
     Returns ``(eligible, reason)``; ``reason`` names the first failed
-    requirement (or is ``"ok"``).  ``state`` is the instance's
+    requirement (or is ``"ok"``); the lane's budgets are read from
+    :data:`LANE_TABLE` at call time.  ``state`` is the instance's
     :class:`~repro.core.fastpath.ScaledState` (iteration 0 already
     computed by the caller — this module never recomputes it).  The
     check never raises on exotic instances (fractional weights, huge
@@ -248,17 +203,11 @@ def lane_eligibility(
     rank = hypergraph.rank
     z = config.z(rank)
     factor = headroom_factor(config, rank, state)
-    if lane == "two-limb":
-        # Limb products of the two-limb multiply must fit int64.
-        if z + 2 > SMALL_FACTOR_BITS or factor >= (1 << SMALL_FACTOR_BITS):
-            return False, "multiplier exceeds the two-limb 31-bit budget"
-    if lane == "three-limb":
-        # The split multiply (two 31-bit halves) doubles the budget.
-        if z + 2 > THREE_LIMB_FACTOR_BITS or factor >= (
-            1 << THREE_LIMB_FACTOR_BITS
-        ):
-            return False, "multiplier exceeds the three-limb 62-bit budget"
-    bits = headroom_bits if headroom_bits is not None else _lane_headroom_bits(lane)
+    row = LANE_TABLE[lane]
+    budget = row.multiplier_bits
+    if z + 2 > budget or factor >= (1 << budget):
+        return False, f"multiplier exceeds the {lane} {budget}-bit budget"
+    bits = row.headroom_bits
     if scale is None:
         scale = state.scale
     over = f"initial scale exceeds the {lane} headroom"
@@ -289,7 +238,7 @@ def lane_eligibility(
 
 def default_scale_limits(hypergraphs, config, states, *, lane: str) -> list[int]:
     """Per-instance mid-run scale ceilings for ``lane``'s headroom."""
-    bits = _lane_headroom_bits(lane)
+    bits = LANE_TABLE[lane].headroom_bits
     limits = []
     for hypergraph, state in zip(hypergraphs, states):
         rank = hypergraph.rank
@@ -610,54 +559,53 @@ TwoLimbOps = LimbOps("two-limb", 2)
 ThreeLimbOps = LimbOps("three-limb", 3)
 
 
-_LANE_OPS = {
-    "int64": Int64Ops,
-    "two-limb": TwoLimbOps,
-    "three-limb": ThreeLimbOps,
+@dataclass
+class MachineLane:
+    """One machine-width rung of the spill ladder.
+
+    ``ops`` implements the lane's arithmetic; ``headroom_bits`` bounds
+    every intermediate of one sweep (see :func:`scale_limit`);
+    ``multiplier_bits`` bounds every scalar multiplier the ops apply
+    (``beta_den``, ``alpha_num``, ``2**(z+2)``); ``cost_factor`` is the
+    relative per-cell sweep cost the shard balancer charges
+    (:func:`repro.core.parallel.estimated_cost`), about the number of
+    int64 passes one primitive op takes on the lane.  Rows are mutable so
+    tests can shrink a budget to force spills; pool workers receive the
+    parent's budgets with every shard.
+    """
+
+    ops: object
+    headroom_bits: int
+    multiplier_bits: int
+    cost_factor: int
+
+
+#: Every machine lane, strongest first (the spill ladder appends the
+#: unbounded big-int loop after these).  Nothing outside this table
+#: names a lane's ops, budgets or cost.
+LANE_TABLE = {
+    # Plain int64 cells.  Any int64 multiplier is valid; the 62-bit
+    # headroom is the bound that binds.
+    "int64": MachineLane(
+        Int64Ops, headroom_bits=62, multiplier_bits=63, cost_factor=1
+    ),
+    # ``hi * 2**32 + lo``: partial reduceat sums of the ``hi`` limbs stay
+    # below ``2**(93 - 32) * segment_length < 2**63``, and limb products
+    # of a 31-bit multiplier stay inside int64.
+    "two-limb": MachineLane(
+        TwoLimbOps, headroom_bits=93, multiplier_bits=31, cost_factor=2
+    ),
+    # ``hi * 2**64 + mid * 2**32 + lo`` with ``hi`` below ``2**60``.
+    # Multipliers split into two 31-bit halves (one digit pass each plus
+    # a carried add), which doubles the budget to 62 bits: enough for the
+    # huge-``beta_den`` f-approximation regime two-limb rejects.
+    "three-limb": MachineLane(
+        ThreeLimbOps, headroom_bits=124, multiplier_bits=62, cost_factor=3
+    ),
 }
 
-
-def lane_ops(lane: str):
-    """The ops backend implementing ``lane``."""
-    try:
-        return _LANE_OPS[lane]
-    except KeyError:
-        raise InvalidInstanceError(
-            f"unknown machine lane {lane!r}"
-        ) from None
-
-
-def finalize_lane_instance(
-    hypergraph: Hypergraph,
-    config: AlgorithmConfig,
-    raw: dict,
-    verify: bool,
-    *,
-    lane: str,
-) -> CoverResult:
-    """Build (and, with ``verify``, certify) one instance's result.
-
-    The dual is the lane's own packing, ``ScaledDual(scale, delta)``:
-    no Fraction is built here, the certificate reads the integers
-    directly, and the per-edge gcd runs only when the dual is rendered.
-    """
-    scale = raw["scale"]
-    delta = raw["delta"]
-    return finalize_result(
-        hypergraph,
-        config,
-        cover=frozenset(raw["cover"]),
-        dual=ScaledDual(scale, delta),
-        levels=tuple(raw["levels"]),
-        stats=raw["stats"],
-        alphas=raw["alphas"],
-        iterations=raw["iterations"],
-        rounds=raw["rounds"],
-        metrics=None,
-        verify=verify,
-        dual_total=scaled_fraction(sum(delta), scale),
-        lane=lane,
-    )
+#: The machine lanes' names in ladder order.
+MACHINE_LANES = tuple(LANE_TABLE)
 
 
 def fused_pack_arena(hypergraphs) -> BatchArena | None:

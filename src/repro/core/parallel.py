@@ -45,8 +45,11 @@ submission order.  Parallelism is purely an execution detail:
   ``jobs=1`` would raise them.
 
 The pool is persistent across calls (process spawn costs would swamp
-small batches) and sized on first use; :func:`shutdown_pool` tears it
-down explicitly (also registered at interpreter exit).
+small batches) and grow-only: sized on first use, rebuilt only when a
+caller asks for more workers than it has, and reused by every caller
+that asks for fewer.  :func:`shutdown_pool` tears it down explicitly
+(also registered at interpreter exit), and the next call sizes it
+afresh.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from types import SimpleNamespace
 
 from repro.core.batch import run_fastpath_batch
 from repro.core.faults import FaultPlan
-from repro.core.kernels import MACHINE_LANES, lane_eligibility
+from repro.core.kernels import LANE_TABLE, MACHINE_LANES, lane_eligibility
 from repro.core.params import AlgorithmConfig, resolve_alpha
 from repro.core.result import AlgorithmStats, CoverResult
 from repro.exceptions import ArenaTransportError, WorkerResultError
@@ -110,14 +113,13 @@ FAULT_PLAN: FaultPlan | None = None
 # Cost model and sharding
 # ----------------------------------------------------------------------
 
-#: Relative per-cell sweep cost of the fixed-width machine lanes: a
-#: two-limb op composes ~2 int64 passes per primitive, a three-limb op
-#: ~3.  Big-int instances pay a per-object interpreter floor
+#: Relative per-cell sweep cost of the big-int loop, which has no row
+#: in the machine lanes' table (each of those carries its own
+#: ``cost_factor``): a per-object interpreter floor
 #: (``_BIGINT_BASE_FACTOR``) plus width-proportional arithmetic —
 #: ``int`` multiplication cost grows with operand bits, so an instance
 #: whose weights span tens of thousands of bits is slower *per cell*
 #: by orders of magnitude, not by a constant.
-_LANE_FACTORS = {"int64": 1, "two-limb": 2, "three-limb": 3}
 _BIGINT_BASE_FACTOR = 8
 _BIGINT_WIDTH_DIVISOR = 512
 
@@ -153,9 +155,8 @@ def predicted_lane(hypergraph: Hypergraph, config: AlgorithmConfig) -> str:
 
 def _lane_cost_factor(lane: str, hypergraph: Hypergraph) -> int:
     """Relative per-cell cost multiplier for running on ``lane``."""
-    factor = _LANE_FACTORS.get(lane)
-    if factor is not None:
-        return factor
+    if lane in LANE_TABLE:
+        return LANE_TABLE[lane].cost_factor
     width = max(
         (
             weight.numerator.bit_length() + weight.denominator.bit_length()
@@ -588,7 +589,7 @@ def _solve_shard(
 
     The payload carries the shard's serialized arena (by shared-memory
     name or inline bytes), the concatenated weights, the config, and
-    the parent's headroom budgets — shipping the budgets keeps parent
+    the parent's lane budgets — shipping the budgets keeps parent
     and workers agreeing on lane admission even when tests shrink them
     to force spills.  Results return in the compact wire format of
     :func:`_encode_result`, alongside per-instance observed solve
@@ -616,7 +617,6 @@ def _solve_shard(
     if directive is not None and directive[0] == "kill":
         # pragma: no cover - exercised via subprocess
         os.kill(os.getpid(), signal.SIGKILL)
-    import repro.core.batch as batch_module
     import repro.core.kernels as kernels_module
 
     heartbeat = payload.get("heartbeat")
@@ -664,10 +664,9 @@ def _solve_shard(
     # consumes the shipped arena itself, slicing the per-lane
     # eligibility groups out of it instead of re-packing.
     instances = arena_hypergraphs(arena)
-    kernels_module.INT64_HEADROOM_BITS = payload["int64_bits"]
-    kernels_module.TWO_LIMB_HEADROOM_BITS = payload["two_limb_bits"]
-    kernels_module.THREE_LIMB_HEADROOM_BITS = payload["three_limb_bits"]
-    batch_module._HEADROOM_BITS = payload["batch_bits"]
+    for name, (headroom, multiplier) in payload["budgets"].items():
+        row = LANE_TABLE[name]
+        row.headroom_bits, row.multiplier_bits = headroom, multiplier
     config = payload["config"]
     start = time.perf_counter()
     results = run_fastpath_batch(
@@ -712,10 +711,13 @@ _POOL_LOCK = threading.Lock()
 
 
 def _get_pool(jobs: int) -> ProcessPoolExecutor:
+    """The shared pool, grown (never shrunk) to at least ``jobs`` workers:
+    a smaller request reuses it, so concurrent callers with different
+    ``jobs`` cannot cancel each other's queued shards."""
     global _POOL, _POOL_JOBS
     stale = None
     with _POOL_LOCK:
-        if _POOL is not None and _POOL_JOBS != jobs:
+        if _POOL is not None and _POOL_JOBS < jobs:
             stale, _POOL, _POOL_JOBS = _POOL, None, 0
         if _POOL is None:
             _POOL = ProcessPoolExecutor(max_workers=jobs)
@@ -817,19 +819,17 @@ def ship_arena(arena):
 def shard_payload(arena, shard, config, verify, *, fault=None):
     """Build one :func:`_solve_shard` payload for an already-packed arena.
 
-    Returns ``(payload, shm_block|None)``.  The parent's headroom
-    budgets are snapshotted into the payload at call time so workers
-    always agree with the caller on lane admission (tests shrink the
-    budgets to force spills inside workers).  ``fault`` is an optional
-    worker directive already drawn from a
+    Returns ``(payload, shm_block|None)``.  The parent's lane budgets
+    (every :data:`~repro.core.kernels.LANE_TABLE` row's headroom and
+    multiplier bits) are snapshotted into the payload at call time so
+    workers always agree with the caller on lane admission (tests
+    shrink the budgets to force spills inside workers).  ``fault`` is
+    an optional worker directive already drawn from a
     :class:`~repro.core.faults.FaultPlan` — the decision is made (and
     logged) by the caller, the worker merely executes it.  Called by
     the streaming session (:mod:`repro.core.stream`), the only code
     that submits to the pool.
     """
-    import repro.core.batch as batch_module
-    import repro.core.kernels as kernels_module
-
     transport, block = ship_arena(arena)
     return {
         "shard": shard,
@@ -840,10 +840,10 @@ def shard_payload(arena, shard, config, verify, *, fault=None):
         "weights": arena.weights if transport[0] != "file" else None,
         "config": config,
         "verify": verify,
-        "int64_bits": kernels_module.INT64_HEADROOM_BITS,
-        "two_limb_bits": kernels_module.TWO_LIMB_HEADROOM_BITS,
-        "three_limb_bits": kernels_module.THREE_LIMB_HEADROOM_BITS,
-        "batch_bits": batch_module._HEADROOM_BITS,
+        "budgets": {
+            name: (row.headroom_bits, row.multiplier_bits)
+            for name, row in LANE_TABLE.items()
+        },
         "fault": fault,
     }, block
 

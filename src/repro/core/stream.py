@@ -1121,10 +1121,10 @@ class BatchSession:
             outcome, payload = "ok", (decoded, observed)
         except (BrokenExecutor, CancelledError):
             # A dead worker breaks the pool; external pool churn
-            # (``shutdown_pool()``, a concurrent caller resizing the
-            # shared pool) cancels queued futures.  Either way the
-            # shard never ran — recover it, never surface the
-            # scheduling accident to the ticket.
+            # (``shutdown_pool()``, a concurrent caller growing the
+            # shared pool past its size) cancels queued futures.
+            # Either way the shard never ran — recover it, never
+            # surface the scheduling accident to the ticket.
             outcome, payload = "broken", None
         except TransportError as error:
             # A vanished/corrupted arena segment or a malformed result

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.batch as batch_module
+import repro.core.kernels as kernels_module
 from repro.baselines.registry import this_work_batch, this_work_fastpath
 from repro.core.batch import arena_eligibility, run_fastpath_batch
 from repro.core.fastpath import HAS_NUMPY
@@ -201,13 +202,14 @@ def test_batch_order_is_preserved():
 
 @needs_numpy
 def test_forced_spill_is_bit_identical(monkeypatch):
-    """Shrinking the headroom forces mid-run spills; results match."""
+    """Shrinking the headroom forces mid-run spills; results match solo
+    fastpath and, independently of the shared spill ladder, lockstep."""
     config = AlgorithmConfig(epsilon=Fraction(1, 3))
     batch = random_batch(6, base_seed=4)
     assert any(arena_eligibility(hg, config)[0] for hg in batch)
-    monkeypatch.setattr(batch_module, "_HEADROOM_BITS", 34)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 34)
     assert_batch_matches_sequential(
-        batch, config, executors=("fastpath",)
+        batch, config, executors=("fastpath", "lockstep")
     )
 
 

@@ -24,6 +24,7 @@ the checker on ``dict()`` of it, and the oracle.
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from fractions import Fraction
 from math import lcm
 from unittest.mock import patch
@@ -103,12 +104,11 @@ def solve(hypergraph, epsilon, solver):
     elif solver == "incremental":
         result = solve_state(hypergraph, config, verify=False).result
     elif solver == "spill":
-        with patch.multiple(
-            kernels_module,
-            INT64_HEADROOM_BITS=SPILL_HEADROOM_BITS,
-            TWO_LIMB_HEADROOM_BITS=SPILL_HEADROOM_BITS,
-            THREE_LIMB_HEADROOM_BITS=SPILL_HEADROOM_BITS,
-        ):
+        with ExitStack() as stack:
+            for row in kernels_module.LANE_TABLE.values():
+                stack.enter_context(
+                    patch.object(row, "headroom_bits", SPILL_HEADROOM_BITS)
+                )
             result = solve_mwhvc(
                 hypergraph, config=config, executor="fastpath", verify=False
             )
@@ -354,7 +354,7 @@ def test_midrun_spill_certificate_matches_oracle():
     epsilon = Fraction(1, 7)
     config = AlgorithmConfig(epsilon=epsilon)
     with patch.object(
-        kernels_module, "INT64_HEADROOM_BITS", SPILL_HEADROOM_BITS
+        kernels_module.LANE_TABLE["int64"], "headroom_bits", SPILL_HEADROOM_BITS
     ):
         result = solve_mwhvc(
             hypergraph, config=config, executor="fastpath", verify=False

@@ -28,7 +28,6 @@ from fractions import Fraction
 
 import pytest
 
-import repro.core.batch as batch_module
 import repro.core.kernels as kernels_module
 from repro.core.fastpath import run_fastpath
 from repro.core.incremental import resolve_incremental, solve_state
@@ -394,13 +393,19 @@ def test_differential_gate_per_lane(lane):
         )
 
 
+def test_unknown_lane_is_rejected():
+    """Fragment jobs enter the spill ladder at ``lane``; a name the
+    ladder does not know is a typed error, like ``run_fastpath``'s."""
+    with pytest.raises(InvalidInstanceError, match="lane must be one of"):
+        solve_state(multi_component(31), AlgorithmConfig(), lane="float128")
+
+
 def test_differential_gate_forced_midrun_spills(monkeypatch):
     """Shrunken headrooms force spill-carry resumes inside fragments;
     the incremental result must still match from-scratch exactly."""
-    monkeypatch.setattr(kernels_module, "INT64_HEADROOM_BITS", 40)
-    monkeypatch.setattr(kernels_module, "TWO_LIMB_HEADROOM_BITS", 60)
-    monkeypatch.setattr(kernels_module, "THREE_LIMB_HEADROOM_BITS", 80)
-    monkeypatch.setattr(batch_module, "_HEADROOM_BITS", 40)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 40)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 60)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["three-limb"], "headroom_bits", 80)
     rng = random.Random(17)
     config = AlgorithmConfig(epsilon="1/3")
     base_plain = multi_component(13)

@@ -31,6 +31,7 @@ tests pin:
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,15 @@ def test_invalid_lane_is_rejected():
         solve_mwhvc(hypergraph, executor="congest", lane="int64")
 
 
+@pytest.mark.parametrize("lane", ["auto", "int64", "two-limb", "three-limb"])
+def test_carry_is_accepted_only_on_the_bigint_floor(lane):
+    """A spill carry resumes the big-int loop; on any other lane it is
+    an error, never silently dropped."""
+    hypergraph = Hypergraph(2, [(0, 1)])
+    with pytest.raises(InvalidInstanceError, match="carry"):
+        run_fastpath(hypergraph, lane=lane, carry={"scale": 1})
+
+
 def test_observer_with_forced_machine_lane_is_rejected():
     """Observers only exist on the big-int loop; silently running it
     under an explicitly forced machine lane would instrument the wrong
@@ -224,19 +234,19 @@ def test_midrun_spill_down_the_ladder(monkeypatch):
     config = AlgorithmConfig(epsilon=Fraction(1, 7))
     reference = solve_mwhvc(hypergraph, config=config, executor="lockstep")
 
-    monkeypatch.setattr(kernels_module, "INT64_HEADROOM_BITS", 40)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 40)
     spilled = solve_mwhvc(hypergraph, config=config, executor="fastpath")
     assert spilled.lane in ("two-limb", "bigint")
     for attribute in OBSERVABLES:
         assert getattr(spilled, attribute) == getattr(reference, attribute)
 
-    monkeypatch.setattr(kernels_module, "TWO_LIMB_HEADROOM_BITS", 40)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 40)
     widened = solve_mwhvc(hypergraph, config=config, executor="fastpath")
     assert widened.lane in ("three-limb", "bigint")
     for attribute in OBSERVABLES:
         assert getattr(widened, attribute) == getattr(reference, attribute)
 
-    monkeypatch.setattr(kernels_module, "THREE_LIMB_HEADROOM_BITS", 40)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["three-limb"], "headroom_bits", 40)
     floored = solve_mwhvc(hypergraph, config=config, executor="fastpath")
     assert floored.lane == "bigint"
     for attribute in OBSERVABLES:
@@ -274,7 +284,7 @@ def test_scalar_spill_carry_resumes_in_place(monkeypatch, schedule):
 
     runs = _spy_lane_runs(monkeypatch)
     # Shrunken headroom admits the initial scale but trips mid-run.
-    monkeypatch.setattr(kernels_module, "INT64_HEADROOM_BITS", 41)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
     result = solve_mwhvc(hypergraph, config=config, executor="fastpath")
     assert result.lane == "two-limb"
     for attribute in OBSERVABLES:
@@ -306,9 +316,9 @@ def test_scalar_spill_carry_to_bigint(monkeypatch, schedule):
     runs = _spy_lane_runs(monkeypatch)
     # Equal budgets: each resumed engine re-executes the interrupted
     # sweep and trips the same ceiling, carrying again.
-    monkeypatch.setattr(kernels_module, "INT64_HEADROOM_BITS", 41)
-    monkeypatch.setattr(kernels_module, "TWO_LIMB_HEADROOM_BITS", 41)
-    monkeypatch.setattr(kernels_module, "THREE_LIMB_HEADROOM_BITS", 41)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 41)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["three-limb"], "headroom_bits", 41)
     result = solve_mwhvc(hypergraph, config=config, executor="fastpath")
     assert result.lane == "bigint"
     for attribute in OBSERVABLES:
@@ -336,7 +346,7 @@ def test_two_limb_spill_resumes_on_three_limb(monkeypatch):
     config = AlgorithmConfig(epsilon=Fraction(1, 7))
     reference = solve_mwhvc(hypergraph, config=config, executor="lockstep")
     runs = _spy_lane_runs(monkeypatch)
-    monkeypatch.setattr(kernels_module, "TWO_LIMB_HEADROOM_BITS", 41)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 41)
     result = solve_mwhvc(
         hypergraph, config=config, executor="fastpath", lane="two-limb"
     )
@@ -359,8 +369,8 @@ def test_int64_spill_skips_ineligible_two_limb(monkeypatch):
     config = AlgorithmConfig(epsilon=Fraction(1, 7))
     reference = solve_mwhvc(hypergraph, config=config, executor="lockstep")
     runs = _spy_lane_runs(monkeypatch)
-    monkeypatch.setattr(kernels_module, "INT64_HEADROOM_BITS", 41)
-    monkeypatch.setattr(kernels_module, "TWO_LIMB_HEADROOM_BITS", 20)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 20)
     result = solve_mwhvc(hypergraph, config=config, executor="fastpath")
     assert result.lane == "three-limb"
     for attribute in OBSERVABLES:
@@ -376,8 +386,6 @@ def test_arena_spill_carry_resumes_in_place(monkeypatch, schedule):
     """The arena path: a spilled batch member joins the two-limb arena
     at its carried offset (alongside fresh members at offset 0) and
     the merged results stay bit-identical to solo runs."""
-    import repro.core.batch as batch_module
-
     spilling = mixed_rank_hypergraph(
         20, 35, 4, seed=8, weights=uniform_weights(20, 1000, seed=9)
     )
@@ -395,8 +403,7 @@ def test_arena_spill_carry_resumes_in_place(monkeypatch, schedule):
     ]
 
     runs = _spy_lane_runs(monkeypatch)
-    monkeypatch.setattr(batch_module, "_HEADROOM_BITS", 41)
-    monkeypatch.setattr(kernels_module, "INT64_HEADROOM_BITS", 41)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
     results = solve_mwhvc_batch(batch, config=config)
     for position, (solo, batched) in enumerate(zip(solos, results)):
         for attribute in OBSERVABLES:
@@ -418,7 +425,7 @@ def test_arena_spill_carry_resumes_in_place(monkeypatch, schedule):
 
 
 DIFFERENTIAL_SETTINGS = settings(
-    max_examples=15,
+    max_examples=int(os.environ.get("LANE_DIFF_EXAMPLES", "15")),
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
@@ -479,13 +486,18 @@ def test_property_lane_equality(hypergraph, epsilon, schedule):
     epsilon=st.sampled_from([Fraction(1, 3), Fraction(1, 11)]),
 )
 def test_property_batch_lane_mixes(hypergraphs, epsilon):
-    """Batches mixing int64 / two-limb / spilled instances stay exact."""
+    """Batches mixing int64 / two-limb / spilled instances stay exact.
+
+    Solo fastpath runs the same spill ladder as the batch, so lockstep's
+    Fraction cores are the independent reference."""
     config = AlgorithmConfig(epsilon=epsilon)
     batch = solve_mwhvc_batch(hypergraphs, config=config)
     for hypergraph, batched in zip(hypergraphs, batch):
         solo = solve_mwhvc(hypergraph, config=config, executor="fastpath")
+        reference = solve_mwhvc(hypergraph, config=config, executor="lockstep")
         for attribute in OBSERVABLES:
             assert getattr(batched, attribute) == getattr(solo, attribute)
+            assert getattr(batched, attribute) == getattr(reference, attribute)
 
 
 # ----------------------------------------------------------------------
@@ -531,9 +543,7 @@ def test_arena_eligibility_never_raises_on_fractional_weights(monkeypatch):
     assert isinstance(eligible, bool) and isinstance(reason, str)
     # Forced-ineligible: with no representable scale the instance must
     # be reported ineligible, not crash the batch dispatcher.
-    import repro.core.batch as batch_module
-
-    monkeypatch.setattr(batch_module, "_HEADROOM_BITS", 4)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 4)
     eligible, reason = arena_eligibility(hypergraph, config)
     assert eligible is False
     if HAS_NUMPY:
@@ -731,11 +741,26 @@ def test_three_limb_roundtrip_and_ops():
     ]
 
 
+#: Every limb lane of the table, so a new row is property-tested as is.
+LIMB_LANES = [
+    name
+    for name, row in kernels_module.LANE_TABLE.items()
+    if isinstance(row.ops, kernels_module.LimbOps)
+]
+
+
 @needs_numpy
 @pytest.mark.parametrize(
     "ops, headroom, factor_bits",
-    [(TwoLimbOps, 93, 31), (ThreeLimbOps, 124, 62)],
-    ids=["two-limb", "three-limb"],
+    [
+        (
+            kernels_module.LANE_TABLE[name].ops,
+            kernels_module.LANE_TABLE[name].headroom_bits,
+            kernels_module.LANE_TABLE[name].multiplier_bits,
+        )
+        for name in LIMB_LANES
+    ],
+    ids=LIMB_LANES,
 )
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -949,7 +974,7 @@ def test_lane_eligibility_reasons():
 
 
 @needs_numpy
-def test_eligibility_prefilter_agrees_with_exact_bound():
+def test_eligibility_prefilter_agrees_with_exact_bound(monkeypatch):
     """The float64 prefilter must reproduce the exact big-int verdict
     for every headroom budget — including the boundary band where it
     falls through to exact arithmetic — on int and Fraction weights."""
@@ -971,9 +996,11 @@ def test_eligibility_prefilter_agrees_with_exact_bound():
             exact = state.scale <= kernels_module.scale_limit(
                 max(hypergraph.weights), factor, z, bits
             )
+            monkeypatch.setattr(
+                kernels_module.LANE_TABLE["int64"], "headroom_bits", bits
+            )
             eligible, _ = lane_eligibility(
-                hypergraph, config, state, lane="int64",
-                headroom_bits=bits,
+                hypergraph, config, state, lane="int64"
             )
             assert eligible == exact, (hypergraph, bits)
 
@@ -986,9 +1013,9 @@ def test_run_fastpath_state_survives_lane_spills(monkeypatch):
     )
     config = AlgorithmConfig(epsilon=Fraction(1, 4))
     reference = run_fastpath(hypergraph, config)
-    monkeypatch.setattr(kernels_module, "INT64_HEADROOM_BITS", 4)
-    monkeypatch.setattr(kernels_module, "TWO_LIMB_HEADROOM_BITS", 4)
-    monkeypatch.setattr(kernels_module, "THREE_LIMB_HEADROOM_BITS", 4)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 4)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 4)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["three-limb"], "headroom_bits", 4)
     state = prepare_scaled_state(hypergraph, config)
     floored = run_fastpath(hypergraph, config, state=state)
     assert floored.lane == "bigint"

@@ -91,8 +91,8 @@ class MutationSoakMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self._saved_headroom = kernels_module.INT64_HEADROOM_BITS
-        kernels_module.INT64_HEADROOM_BITS = SOAK_HEADROOM_BITS
+        self._saved_headroom = kernels_module.LANE_TABLE["int64"].headroom_bits
+        kernels_module.LANE_TABLE["int64"].headroom_bits = SOAK_HEADROOM_BITS
         self.config = AlgorithmConfig(epsilon=Fraction(1, 3))
         self.base = Hypergraph(
             8,
@@ -175,7 +175,7 @@ class MutationSoakMachine(RuleBasedStateMachine):
             self._check()
             assert self.state.result.certificate is not None
         finally:
-            kernels_module.INT64_HEADROOM_BITS = self._saved_headroom
+            kernels_module.LANE_TABLE["int64"].headroom_bits = self._saved_headroom
 
 
 if FUZZ_SEED is not None:

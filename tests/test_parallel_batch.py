@@ -335,11 +335,40 @@ def test_forced_spills_inside_workers(monkeypatch):
         solve_mwhvc(hypergraph, config=config, executor="fastpath")
         for hypergraph in batch
     ]
-    monkeypatch.setattr(kernels_module, "INT64_HEADROOM_BITS", 41)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
     parallel = run_fastpath_batch_parallel(batch, config, jobs=2)
     lanes = {result.lane for result in parallel}
     assert lanes - {"int64"}, f"expected spilled lanes, got {lanes}"
     for position, (solo, result) in enumerate(zip(solos, parallel)):
+        for attribute in OBSERVABLES:
+            assert getattr(result, attribute) == getattr(
+                solo, attribute
+            ), (position, attribute)
+
+
+@pytest.mark.skipif(
+    not HAS_NUMPY, reason="the lane budgets need the machine lanes"
+)
+def test_worker_payload_carries_the_whole_lane_table(monkeypatch):
+    """Every row's budget crosses the process boundary, not only int64's:
+    with two-limb and three-limb shrunken in the parent, workers land
+    each instance on the same lane as an in-process run."""
+    config = AlgorithmConfig(epsilon=Fraction(1, 7))
+    batch = [
+        mixed_rank_hypergraph(
+            12 + seed, 18 + 2 * seed, 3, seed=40 + seed,
+            weights=[10**16 + 97 * v * (seed + 1) for v in range(12 + seed)],
+        )
+        for seed in range(6)
+    ]
+    monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 70)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["three-limb"], "headroom_bits", 80)
+    expected = run_fastpath_batch(batch, config)
+    assert {result.lane for result in expected} == {"three-limb", "bigint"}
+    parallel = run_fastpath_batch_parallel(batch, config, jobs=2)
+    for position, (solo, result) in enumerate(zip(expected, parallel)):
+        assert result.worker is not None, position
+        assert result.lane == solo.lane, position
         for attribute in OBSERVABLES:
             assert getattr(result, attribute) == getattr(
                 solo, attribute
@@ -499,7 +528,7 @@ def test_property_parallel_matches_sequential(
 def test_property_parallel_spill_mixes(monkeypatch, hypergraphs, epsilon):
     """Workers inherit shrunken budgets: spill ladders inside workers
     (int64 -> two-limb -> bigint, with carries) stay bit-identical."""
-    monkeypatch.setattr(kernels_module, "INT64_HEADROOM_BITS", 44)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 44)
     config = AlgorithmConfig(epsilon=epsilon)
     assert_parallel_matches_sequential(
         hypergraphs, config, jobs=2, verify=False
@@ -512,8 +541,10 @@ def test_property_parallel_spill_mixes(monkeypatch, hypergraphs, epsilon):
 
 
 def test_concurrent_callers_survive_each_others_pool_resizes():
-    """Callers with different ``jobs`` resize the one shared pool under
-    each other; every call must still return the exact results."""
+    """Callers with different ``jobs`` share the one pool; every call
+    must still return the exact results.  The pool only grows, so once
+    it holds the largest request no caller tears it down under another
+    and every shard is solved by a worker, never in-process."""
     import sys
     import threading
 
@@ -521,6 +552,7 @@ def test_concurrent_callers_survive_each_others_pool_resizes():
     batch = random_batch(8, base_seed=31)
     expected = run_fastpath_batch(batch, config)
     outcomes = {jobs: [] for jobs in (2, 3, 4)}
+    solve_mwhvc_batch(batch, config=config, jobs=4)  # size the pool
 
     def caller(jobs):
         for _ in range(15):
@@ -559,6 +591,7 @@ def test_concurrent_callers_survive_each_others_pool_resizes():
                             left, attribute
                         )
                     assert right.lane == left.lane
+                    assert right.worker is not None
     finally:
         shutdown_pool()
 

@@ -23,7 +23,6 @@ import signal
 import socket
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 

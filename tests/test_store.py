@@ -40,7 +40,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.batch as batch_module
+import repro.core.kernels as kernels_module
 from repro.core.batch import run_fastpath_batch
 from repro.core.corpus import (
     ArenaCatalog,
@@ -250,7 +250,7 @@ def test_store_solve_matches_memory_forced_spill(tmp_path, monkeypatch):
     config = AlgorithmConfig(epsilon=Fraction(1, 3))
     hypergraphs = random_batch(6, base_seed=4)
     arena, loaded, _ = roundtrip(tmp_path, hypergraphs)
-    monkeypatch.setattr(batch_module, "_HEADROOM_BITS", 34)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 34)
     expected = run_fastpath_batch(hypergraphs, config, arena=arena)
     actual = run_fastpath_batch(
         arena_hypergraphs(loaded), config, arena=loaded

@@ -154,7 +154,7 @@ def test_batch_arena_reuse_matches_repack():
 def test_batch_arena_reuse_with_forced_spills(monkeypatch):
     """Shrunken headroom: arena reuse stays exact when instances spill
     mid-run down the lane ladder (slice groups shrink and carry)."""
-    monkeypatch.setattr(kernels_module, "INT64_HEADROOM_BITS", 44)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 44)
     config = AlgorithmConfig(epsilon=Fraction(1, 7))
     batch = random_batch(5, base_seed=4, max_weight=1000)
     arena = pack_arena(batch)
@@ -233,7 +233,7 @@ def test_mixed_configs_micro_batch_separately():
 def test_streamed_spills_stay_exact(monkeypatch):
     """Shrunken budgets ship with every dispatched shard, so mid-run
     lane spills inside workers still resolve bit-identical."""
-    monkeypatch.setattr(kernels_module, "INT64_HEADROOM_BITS", 41)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
     config = AlgorithmConfig(epsilon=Fraction(1, 7))
     batch = random_batch(4, base_seed=4, max_weight=1000) + [
         mixed_rank_hypergraph(

@@ -121,8 +121,8 @@ class StreamSoakMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self._saved_headroom = kernels_module.INT64_HEADROOM_BITS
-        kernels_module.INT64_HEADROOM_BITS = SOAK_HEADROOM_BITS
+        self._saved_headroom = kernels_module.LANE_TABLE["int64"].headroom_bits
+        kernels_module.LANE_TABLE["int64"].headroom_bits = SOAK_HEADROOM_BITS
         self.config = AlgorithmConfig(epsilon=Fraction(1, 3))
         self.session = BatchSession(
             self.config, jobs=2, verify=False, max_batch=3,
@@ -225,7 +225,7 @@ class StreamSoakMachine(RuleBasedStateMachine):
                         f"{attribute}"
                     )
         finally:
-            kernels_module.INT64_HEADROOM_BITS = self._saved_headroom
+            kernels_module.LANE_TABLE["int64"].headroom_bits = self._saved_headroom
 
 
 if FUZZ_SEED is not None:
