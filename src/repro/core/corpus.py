@@ -118,13 +118,12 @@ def _instance_record(
     from repro.core.parallel import predicted_lane
 
     text = hg_io.dumps(hypergraph)
-    ranks = [len(edge) for edge in hypergraph.edges]
     return InstanceRecord(
         id=instance_id,
         num_vertices=hypergraph.num_vertices,
         num_edges=hypergraph.num_edges,
-        nnz=sum(ranks),
-        max_rank=max(ranks, default=0),
+        nnz=hypergraph.nnz,
+        max_rank=hypergraph.rank,
         lane=predicted_lane(hypergraph, config),
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )

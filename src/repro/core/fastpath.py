@@ -81,7 +81,6 @@ from repro.exceptions import (
     InvariantViolationError,
     RoundLimitExceededError,
 )
-from repro.hypergraph.csr import edge_membership_csr
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.lp.scaled import ScaledDual
 
@@ -157,16 +156,6 @@ class ScaledState:
 _FUSED_INT64_LIMIT = 1 << 62
 
 
-def _scalar_bid_sums(n: int, edges, bid: list[int]) -> list[int]:
-    """Per-vertex sums of member-edge bids, in plain Python ints."""
-    total_delta = [0] * n
-    for edge_id, members in enumerate(edges):
-        bid0 = bid[edge_id]
-        for vertex in members:
-            total_delta[vertex] += bid0
-    return total_delta
-
-
 def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     """Vectorized iteration 0, or ``None`` when the instance needs the
     scalar loop.
@@ -188,35 +177,21 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
         return None
     n = hypergraph.num_vertices
     m = hypergraph.num_edges
-    edges = hypergraph.edges
-    weights = hypergraph.weights
     rank = hypergraph.rank
     if m == 0:
         return None
+    # The instance's CSR arrays (array-backed instances hold them; a
+    # tuple-built one converts once and keeps them for the packer).
+    arrays = hypergraph._arrays()
     weights_arr = hypergraph.weights_int64()
-    if weights_arr is None:
+    if arrays is None or weights_arr is None:
         return None
     max_weight = int(weights_arr.max()) if n else 0
     if max_weight >= _FUSED_INT64_LIMIT:
         return None
-    try:
-        # Uniform-arity edges (the common case) convert as one 2D
-        # array; the ragged fallback streams the cells.
-        members_2d = _np.array(edges, dtype=_np.int64)
-    except ValueError:
-        members_2d = None
-    if members_2d is not None and members_2d.ndim == 2:
-        cells = members_2d.ravel()
-        lengths = _np.full(m, members_2d.shape[1], dtype=_np.int64)
-    else:
-        lengths = _np.fromiter(map(len, edges), dtype=_np.int64, count=m)
-        cells = _np.fromiter(
-            (vertex for members in edges for vertex in members),
-            dtype=_np.int64,
-            count=int(lengths.sum()),
-        )
-    starts = _np.zeros(m, dtype=_np.int64)
-    _np.cumsum(lengths[:-1], out=starts[1:])
+    cells, offsets = arrays
+    starts = offsets[:-1]
+    lengths = _np.diff(offsets)
     degrees_arr = _np.bincount(cells, minlength=n)
     max_degree = int(degrees_arr.max())
     if max_weight * max_degree >= _FUSED_INT64_LIMIT:
@@ -268,6 +243,7 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
         # Exact resolution works on plain Python ints — numpy scalars
         # would reintroduce silent int64 wraparound into the cross
         # products.  Built only on this (rare) near-tie branch.
+        weights = hypergraph.weights
         degrees = degrees_arr.tolist()
         for position in _np.flatnonzero(owner_counts > 1).tolist():
             members = cand_cells[
@@ -329,13 +305,13 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
             # converts at its entry (see ``_scalar_state_lists``).
             total_delta = total_arr
         else:
-            total_delta = _scalar_bid_sums(n, edges, bid)
+            total_delta = hypergraph._vertex_sums(bid)
     else:
         bid = [
             initial_bid_scaled(min_weight, min_degree, scale)
             for (_, min_weight, min_degree) in argmins
         ]
-        total_delta = _scalar_bid_sums(n, edges, bid)
+        total_delta = hypergraph._vertex_sums(bid)
     if (
         bid_arr is not None
         and not local_policy
@@ -792,9 +768,8 @@ def _run_bigint(
 
     # CSR layout for the vectorized structural kernels.
     if HAS_NUMPY:
-        membership = edge_membership_csr(edges)
-        flat_members = _np.array(membership.cells, dtype=_np.int64)
-        segment_starts = _np.array(membership.starts, dtype=_np.int64)
+        flat_members, offsets = hypergraph._arrays()
+        segment_starts = offsets[:-1]
         flags_view = _np.frombuffer(flags, dtype=_np.uint8)
 
     def halving_totals():

@@ -79,7 +79,7 @@ from repro.exceptions import (
     InvariantViolationError,
     RoundLimitExceededError,
 )
-from repro.hypergraph.csr import BatchArena, CSRLayout, pack_arena
+from repro.hypergraph.csr import BatchArena, pack_arena
 from repro.hypergraph.hypergraph import Hypergraph
 
 try:  # pragma: no cover - exercised implicitly by either branch
@@ -608,69 +608,6 @@ LANE_TABLE = {
 MACHINE_LANES = tuple(LANE_TABLE)
 
 
-def fused_pack_arena(hypergraphs) -> BatchArena | None:
-    """Vectorized :func:`~repro.hypergraph.csr.pack_arena` equivalent.
-
-    Builds the membership CSR arrays and instance maps as int64 numpy
-    arrays instead of Python tuples — positionally identical to the
-    scalar packer, just already in the dtype :class:`LaneRun` converts
-    them to.  Returns ``None`` when an instance's edge list is ragged
-    in a way numpy cannot batch-convert (mixed arities fall back to
-    the scalar packer) so callers can keep one code path.
-    """
-    int64 = _np.int64
-    vertex_offset = [0]
-    edge_offset = [0]
-    weights: list = []
-    cell_blocks = []
-    length_blocks = []
-    for hypergraph in hypergraphs:
-        vertex_base = vertex_offset[-1]
-        vertex_offset.append(vertex_base + hypergraph.num_vertices)
-        edge_offset.append(edge_offset[-1] + hypergraph.num_edges)
-        weights.extend(hypergraph.weights)
-        edges = hypergraph.edges
-        if not edges:
-            continue
-        try:
-            members = _np.array(edges, dtype=int64)
-        except ValueError:
-            return None
-        if members.ndim == 2:
-            cells = members.ravel()
-            lengths = _np.full(len(edges), members.shape[1], dtype=int64)
-        else:
-            return None
-        if vertex_base:
-            cells = cells + vertex_base
-        cell_blocks.append(cells)
-        length_blocks.append(lengths)
-    if cell_blocks:
-        all_cells = _np.concatenate(cell_blocks)
-        all_lengths = _np.concatenate(length_blocks)
-    else:
-        all_cells = _np.empty(0, dtype=int64)
-        all_lengths = _np.empty(0, dtype=int64)
-    starts = _np.zeros(all_lengths.size, dtype=int64)
-    _np.cumsum(all_lengths[:-1], out=starts[1:])
-    count = len(vertex_offset) - 1
-    counts_v = _np.diff(_np.array(vertex_offset, dtype=int64))
-    counts_e = _np.diff(_np.array(edge_offset, dtype=int64))
-    instance_ids = _np.arange(count, dtype=int64)
-    membership = CSRLayout(
-        lengths=all_lengths, starts=starts, cells=all_cells
-    )
-    return BatchArena(
-        num_instances=count,
-        vertex_offset=tuple(vertex_offset),
-        edge_offset=tuple(edge_offset),
-        weights=tuple(weights),
-        membership=membership,
-        instance_of_vertex=_np.repeat(instance_ids, counts_v),
-        instance_of_edge=_np.repeat(instance_ids, counts_e),
-    )
-
-
 class LaneRun:
     """One batched execution over a shared CSR arena on a kernel lane.
 
@@ -717,9 +654,9 @@ class LaneRun:
             # packing (a worker's shipped shard sliced per lane via
             # :func:`repro.hypergraph.csr.slice_arena`) skip the
             # re-pack; it must equal ``pack_arena(hypergraphs)``.
-            arena = fused_pack_arena(hypergraphs)
-            if arena is None:
-                arena = pack_arena(hypergraphs)
+            # Iteration 0 left every instance holding its CSR arrays,
+            # so the packer concatenates them.
+            arena = pack_arena(hypergraphs)
         self.arena = arena
         total_v = arena.total_vertices
         total_e = arena.total_edges
@@ -776,7 +713,6 @@ class LaneRun:
             beta = config.beta(hypergraph.rank)
             beta_den.append(beta.denominator)
             z_caps.append(config.z(hypergraph.rank))
-            weights = hypergraph.weights
             if hypergraph.weights_all_int:
                 # Integer weights multiply exactly — skip the per-value
                 # integrality verification of ``exact_scaled_int`` and
@@ -785,7 +721,7 @@ class LaneRun:
                 threshold_scale = (
                     beta.denominator - beta.numerator
                 ) * scale
-                if vectorize and weights:
+                if vectorize and hypergraph.num_vertices:
                     # Vectorized scaling is exact iff the largest
                     # product fits int64 — checked in unbounded Python
                     # arithmetic *before* any numpy multiply can wrap.
@@ -798,9 +734,11 @@ class LaneRun:
                             ws_parts.append(arr * scale)
                             tr_parts.append(arr * threshold_scale)
                             continue
+                weights = hypergraph.weights
                 ws_parts.append([w * scale for w in weights])
                 tr_parts.append([w * threshold_scale for w in weights])
                 continue
+            weights = hypergraph.weights
             ws_parts.append(
                 [exact_scaled_int(weight, scale) for weight in weights]
             )
@@ -900,8 +838,8 @@ class LaneRun:
 
         # -- CSR kernels ----------------------------------------------
         membership = arena.membership
-        # ``asarray``: a fused-packed arena already holds int64 arrays,
-        # which these kernels only read — no copy needed.
+        # ``asarray``: an array-packed or mmap-loaded arena already
+        # holds int64 arrays, which these kernels only read — no copy.
         self.e_cells = _np.asarray(membership.cells, dtype=int64)
         self.e_starts = _np.asarray(membership.starts, dtype=int64)
         self.e_lengths = _np.asarray(membership.lengths, dtype=int64)

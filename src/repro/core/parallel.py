@@ -190,7 +190,7 @@ def estimated_cost(
     straggler as if it were an int64 instance is how one shard ends up
     ~60x heavier than its siblings while the balancer reports parity.
     """
-    nnz = sum(len(members) for members in hypergraph.edges)
+    nnz = hypergraph.nnz
     expected_iterations = hypergraph.max_degree.bit_length() + config.z(
         hypergraph.rank
     )
@@ -214,7 +214,7 @@ def observed_work(
     this is what keeps a shard's one big-int straggler from smearing
     its cost over the int64 instances that shared the arena.
     """
-    nnz = sum(len(members) for members in hypergraph.edges)
+    nnz = hypergraph.nnz
     return (
         max(1, nnz)
         * max(1, result.iterations)
@@ -250,7 +250,7 @@ class CostModel:
     @staticmethod
     def signature(hypergraph: Hypergraph) -> tuple[int, int]:
         """Coarse structural bucket: ``(rank, nnz.bit_length())``."""
-        nnz = sum(len(members) for members in hypergraph.edges)
+        nnz = hypergraph.nnz
         return (hypergraph.rank, nnz.bit_length())
 
     def observe(

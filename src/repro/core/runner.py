@@ -136,8 +136,7 @@ def finalize_result(
     two-limb / three-limb / bigint) produced the raw values — metadata
     the scaled executors report for observability.
     """
-    weights = hypergraph.weights
-    weight = sum(weights[vertex] for vertex in cover)
+    weight = hypergraph.cover_weight(cover)
     if dual_total is None:
         dual_total = sum(dual.values(), Fraction(0))
     certificate = None

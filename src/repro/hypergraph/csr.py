@@ -13,7 +13,11 @@ instances into one shared **arena**: vertex and edge ids are offset
 into disjoint global ranges, so a single structural kernel sweep (one
 ``reduceat`` per quantity) advances every instance simultaneously while
 per-instance offset tables keep results separable.  This is the packing
-behind :func:`repro.core.batch.run_fastpath_batch`.
+behind :func:`repro.core.batch.run_fastpath_batch`.  When some instance
+already holds its CSR arrays (see
+:class:`~repro.hypergraph.hypergraph.Hypergraph`), the packer
+concatenates instance arrays into ``int64`` slabs; otherwise (and
+without numpy) it builds the plain tuples.
 
 For the multiprocess executor (:mod:`repro.core.parallel`) an arena's
 structure round-trips through one flat native-``int64`` buffer:
@@ -31,11 +35,16 @@ from __future__ import annotations
 import zlib
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from repro.exceptions import ArenaTransportError, InvalidInstanceError
 from repro.hypergraph.hypergraph import Hypergraph
+
+try:  # pragma: no cover - exercised implicitly by either branch
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
 __all__ = [
     "CSRLayout",
@@ -52,15 +61,40 @@ __all__ = [
 ]
 
 
+def _equal_by_value(self, other) -> bool:
+    """Field-wise equality that reads every slab as a tuple of ints.
+
+    A slab may be a tuple, an ``array("q")`` or an ``int64`` numpy
+    array depending on which packer or loader built it, so layouts and
+    arenas compare by value, never by container type (numpy's
+    element-wise ``==`` would otherwise make the comparison raise).
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(
+        _as_tuple(getattr(self, item.name))
+        == _as_tuple(getattr(other, item.name))
+        for item in fields(self)
+        if item.compare
+    )
+
+
+def _as_tuple(value):
+    return tuple(value.tolist()) if hasattr(value, "tolist") else value
+
+
 @dataclass(frozen=True, slots=True)
 class CSRLayout:
     """One ragged array: ``cells[starts[i] : starts[i] + lengths[i]]``
     is segment ``i``.  ``starts`` is the exclusive prefix sum of
-    ``lengths``; ``len(cells) == sum(lengths)``."""
+    ``lengths``; ``len(cells) == sum(lengths)``.  Equality is by value
+    whatever the slabs' container type."""
 
     lengths: tuple[int, ...]
     starts: tuple[int, ...]
     cells: tuple[int, ...]
+
+    __eq__ = _equal_by_value
 
     @property
     def num_segments(self) -> int:
@@ -118,6 +152,13 @@ class BatchArena:
     stable argsort of the membership cells).  The offset tables
     (length ``K + 1``, ending in the totals) slice any global array
     back into per-instance views.
+
+    The structural slabs (membership, instance maps) are tuples or
+    ``int64`` numpy arrays; ``weights`` is a tuple, or an
+    ``array("q")`` when it is an arena store's ``int64`` weight section
+    (its items read as plain ints).  Arenas compare by value, so an
+    array-packed arena equals the tuple-built arena of the same
+    instances; only tuple-built arenas are hashable.
     """
 
     num_instances: int
@@ -137,6 +178,8 @@ class BatchArena:
     #: to workers *by reference* instead of copying it into ``/dev/shm``
     #: (workers re-validate the container themselves).
     source: object | None = field(default=None, compare=False, repr=False)
+
+    __eq__ = _equal_by_value
 
     @property
     def total_vertices(self) -> int:
@@ -211,9 +254,11 @@ def serialize_arena(arena: BatchArena) -> bytes:
     payload = array("q", [arena.num_instances])
     payload.extend(arena.vertex_offset)
     payload.extend(arena.edge_offset)
-    payload.extend(arena.membership.lengths)
-    payload.extend(arena.membership.cells)
-    body = payload.tobytes()
+    body = payload.tobytes() + b"".join(
+        # int64 arrays (array-packed or loaded arenas) copy as they are.
+        slab.tobytes() if hasattr(slab, "tobytes") else array("q", slab).tobytes()
+        for slab in (arena.membership.lengths, arena.membership.cells)
+    )
     header = array("q", [_ARENA_MAGIC, len(body), zlib.crc32(body)])
     return header.tobytes() + body
 
@@ -296,12 +341,24 @@ def deserialize_arena(buffer, weights) -> BatchArena:
     )
 
 
+def _plain(slab):
+    """A slab as a sequence of plain Python ints.
+
+    A loaded or array-packed arena holds numpy ``int64`` arrays (and a
+    store's weights an ``array("q")``) where a tuple-packed one holds
+    tuples; the passes that rebuild tuple arenas normalize up front,
+    since numpy scalars must never leak into tuples or exact
+    arithmetic.
+    """
+    return slab.tolist() if hasattr(slab, "tolist") else slab
+
+
 def slice_arena(arena: BatchArena, indices: Sequence[int]) -> BatchArena:
     """Re-slice a packed arena down to a subset of its instances.
 
-    Returns the arena :func:`pack_arena` would build for
-    ``[instances[i] for i in indices]`` — bit-for-bit, including cell
-    order — but assembled directly from the packed representation in
+    Returns an arena ``==`` to the one :func:`pack_arena` would build
+    for ``[instances[i] for i in indices]`` — every value, including
+    cell order; slab container types may differ — but assembled directly from the packed representation in
     one O(selected cells) pass, never expanding the instances back to
     :class:`~repro.hypergraph.hypergraph.Hypergraph` objects.  The
     selection may be any subset in any order (indices need not be
@@ -325,20 +382,9 @@ def slice_arena(arena: BatchArena, indices: Sequence[int]) -> BatchArena:
     ):
         return arena
     membership = arena.membership
-    # A loaded (or fused-packed) arena holds numpy int64 arrays where a
-    # scalar-packed one holds tuples.  Normalize the slabs this pass
-    # iterates to plain Python ints up front: downstream consumers
-    # (``serialize_arena``'s array("q"), Hypergraph reconstruction)
-    # require exact ``int`` cells, never numpy scalars.
-    membership_lengths = membership.lengths
-    membership_cells = membership.cells
-    membership_starts = membership.starts
-    if hasattr(membership_lengths, "tolist"):
-        membership_lengths = membership_lengths.tolist()
-    if hasattr(membership_cells, "tolist"):
-        membership_cells = membership_cells.tolist()
-    if hasattr(membership_starts, "tolist"):
-        membership_starts = membership_starts.tolist()
+    membership_lengths = _plain(membership.lengths)
+    membership_cells = _plain(membership.cells)
+    membership_starts = _plain(membership.starts)
     vertex_offset = [0]
     edge_offset = [0]
     weights: list[int | Fraction] = []
@@ -394,9 +440,10 @@ def patch_arena(
 ) -> BatchArena:
     """Apply a single-instance delta to a packed arena without re-packing.
 
-    Returns the arena :func:`pack_arena` would build for the same
-    instance list with instance ``instance`` mutated — bit-for-bit,
-    including cell order — assembled directly from the packed
+    Returns an arena ``==`` to the one :func:`pack_arena` would build
+    for the same instance list with instance ``instance`` mutated —
+    every value, including cell order; its slabs are tuples —
+    assembled directly from the packed
     representation (the :func:`slice_arena` idiom): the prefix
     instances copy verbatim, the target keeps its surviving rows in
     order with cells unshifted and appends the new rows, and the
@@ -417,6 +464,12 @@ def patch_arena(
     edge_hi = arena.edge_offset[instance + 1]
     local_edges = edge_hi - edge_lo
     local_vertices = (vertex_hi - vertex_lo) + len(added_weights)
+    membership = CSRLayout(
+        lengths=_plain(arena.membership.lengths),
+        starts=_plain(arena.membership.starts),
+        cells=_plain(arena.membership.cells),
+    )
+    instance_of_vertex = tuple(_plain(arena.instance_of_vertex))
 
     removed: set[int] = set()
     for position in removed_edges:
@@ -465,11 +518,10 @@ def patch_arena(
     weights.extend(arena.weights[vertex_hi:])
 
     instance_of_vertex = (
-        arena.instance_of_vertex[:vertex_hi]
+        instance_of_vertex[:vertex_hi]
         + (instance,) * grown_vertices
-        + arena.instance_of_vertex[vertex_hi:]
+        + instance_of_vertex[vertex_hi:]
     )
-    membership = arena.membership
     total_edges = len(membership.lengths)
     cell_lo = (
         membership.starts[edge_lo]
@@ -524,102 +576,71 @@ def arena_hypergraphs(arena: BatchArena) -> list[Hypergraph]:
 
     Per-instance vertex/edge order is preserved (packing preserved it),
     so the reconstructed instances are ``==`` to the originals and any
-    solve over them is positionally identical.  Construction goes
-    through ``Hypergraph._from_validated``: an arena's cells were
-    extracted from live (already-validated) hypergraphs, so re-running
-    the per-cell input checks would only tax the worker-side hot path
-    of the multiprocess executor.
+    solve over them is positionally identical.  An arena's cells were
+    extracted from live (already-validated) hypergraphs, so the per-cell
+    input checks are not re-run.
 
-    The de-offsetting pass is vectorized when numpy is available (one
-    C-speed subtraction + ``tolist`` per instance instead of a Python
-    generator per cell): reconstruction is the dominant non-solve cost
-    of both the worker-side shard decode and the cold-start path over
-    a persistent arena store, where the E16 gate times it directly.
-    Cells always land back as plain Python ints — numpy scalars inside
-    ``Hypergraph.edges`` would leak into covers and JSON rendering.
+    With numpy the instances are **array-backed**: each one keeps its
+    ``int64`` cells (re-based to local vertex ids) and offsets, and a
+    store's ``int64`` weight section becomes per-instance views of one
+    array.
+    No per-edge tuple is built here: reconstruction is the dominant
+    non-solve cost of both the worker-side shard decode and the
+    cold-start path over a persistent arena store, and the solve path
+    reads the arrays directly.  Without numpy the instances are
+    rebuilt from plain-int tuples.
     """
     membership = arena.membership
-    try:  # vectorized de-offset; scalar fallback without numpy
-        import numpy as _np
-    except ImportError:  # pragma: no cover - numpy-less builds
-        _np = None
-    # A store-loaded arena knows its weights section could only hold
-    # plain ints; forward that verdict so reconstruction skips the
-    # per-weight rescan (None = unknown, compute lazily as usual).
-    all_int = getattr(arena.source, "weights_all_int", None)
+    vertex_offset = arena.vertex_offset
+    edge_offset = arena.edge_offset
     instances: list[Hypergraph] = []
-    if _np is not None and arena.num_instances:
-        cells_arr = _np.asarray(membership.cells, dtype=_np.int64)
-        lengths_list = (
-            membership.lengths.tolist()
-            if hasattr(membership.lengths, "tolist")
-            else membership.lengths
-        )
-        starts_list = (
-            membership.starts.tolist()
-            if hasattr(membership.starts, "tolist")
-            else membership.starts
-        )
-        total_cells = len(cells_arr)
+    if _np is None:  # pragma: no cover - numpy-less builds
         for index in range(arena.num_instances):
-            vertex_base = arena.vertex_offset[index]
-            num_vertices = arena.vertex_offset[index + 1] - vertex_base
-            edge_lo = arena.edge_offset[index]
-            edge_hi = arena.edge_offset[index + 1]
-            cell_lo = (
-                starts_list[edge_lo]
-                if edge_lo < len(starts_list)
-                else total_cells
-            )
-            cell_hi = (
-                starts_list[edge_hi]
-                if edge_hi < len(starts_list)
-                else total_cells
-            )
-            block = cells_arr[cell_lo:cell_hi]
-            local = (
-                (block - vertex_base).tolist()
-                if vertex_base
-                else block.tolist()
-            )
-            edge_rows: list[tuple[int, ...]] = []
-            position = 0
-            for edge_id in range(edge_lo, edge_hi):
-                length = lengths_list[edge_id]
-                edge_rows.append(
-                    tuple(local[position : position + length])
+            vertex_base = vertex_offset[index]
+            edges = tuple(
+                tuple(
+                    int(cell) - vertex_base
+                    for cell in membership.segment(edge_id)
                 )
-                position += length
-            weights = tuple(
-                arena.weights[vertex_base : arena.vertex_offset[index + 1]]
+                for edge_id in range(
+                    edge_offset[index], edge_offset[index + 1]
+                )
             )
             instances.append(
                 Hypergraph._from_validated(
-                    num_vertices,
-                    tuple(edge_rows),
-                    weights,
-                    weights_all_int=all_int,
+                    vertex_offset[index + 1] - vertex_base,
+                    edges,
+                    tuple(arena.weights[vertex_base : vertex_offset[index + 1]]),
                 )
             )
         return instances
+    int64 = _np.int64
+    cells = _np.asarray(membership.cells, dtype=int64)
+    starts = _np.asarray(membership.starts, dtype=int64)
+    weights = arena.weights
+    if isinstance(weights, array):
+        weights = _np.frombuffer(weights, dtype=int64)
+    total_edges = len(starts)
     for index in range(arena.num_instances):
-        vertex_base = arena.vertex_offset[index]
-        num_vertices = arena.vertex_offset[index + 1] - vertex_base
-        edges = tuple(
-            tuple(
-                int(cell) - vertex_base
-                for cell in membership.segment(edge_id)
-            )
-            for edge_id in range(
-                arena.edge_offset[index], arena.edge_offset[index + 1]
-            )
+        vertex_lo = vertex_offset[index]
+        vertex_hi = vertex_offset[index + 1]
+        edge_lo = edge_offset[index]
+        edge_hi = edge_offset[index + 1]
+        cell_lo, cell_hi = (
+            int(starts[edge]) if edge < total_edges else len(cells)
+            for edge in (edge_lo, edge_hi)
         )
-        weights = tuple(
-            arena.weights[vertex_base : arena.vertex_offset[index + 1]]
-        )
+        offsets = _np.empty(edge_hi - edge_lo + 1, dtype=int64)
+        _np.subtract(starts[edge_lo:edge_hi], cell_lo, out=offsets[:-1])
+        offsets[-1] = cell_hi - cell_lo
+        # A copy even at base 0: no instance keeps a store's map alive.
+        local = cells[cell_lo:cell_hi] - vertex_lo
+        instance_weights = weights[vertex_lo:vertex_hi]
+        if not isinstance(instance_weights, _np.ndarray):
+            instance_weights = tuple(instance_weights)
         instances.append(
-            Hypergraph._from_validated(
-                num_vertices, edges, weights, weights_all_int=all_int
+            Hypergraph._from_arrays(
+                vertex_hi - vertex_lo, local, offsets, instance_weights
             )
         )
     return instances
@@ -632,7 +653,20 @@ def pack_arena(hypergraphs: Sequence[Hypergraph]) -> BatchArena:
     treats segments independently is positionally identical to running
     the instances one by one.  Membership cells are offset member
     vertices in edge-id order; packing is a single O(total cells) pass.
+
+    When numpy is present and some instance already holds its CSR
+    arrays, the pass concatenates instance arrays (converting any
+    tuple-only member once) and the structural slabs are ``int64``
+    arrays — what the kernel lanes read.  Otherwise the slabs are the
+    plain tuples :func:`slice_arena`, :func:`patch_arena` and
+    :func:`deserialize_arena` build.
     """
+    if _np is not None and any(
+        hypergraph._cells is not None for hypergraph in hypergraphs
+    ):
+        arena = _pack_arrays(hypergraphs)
+        if arena is not None:
+            return arena
     vertex_offset = [0]
     edge_offset = [0]
     weights: list[int] = []
@@ -666,4 +700,44 @@ def pack_arena(hypergraphs: Sequence[Hypergraph]) -> BatchArena:
         membership=membership,
         instance_of_vertex=tuple(instance_of_vertex),
         instance_of_edge=tuple(instance_of_edge),
+    )
+
+
+def _pack_arrays(hypergraphs: Sequence[Hypergraph]) -> BatchArena | None:
+    """:func:`pack_arena`'s array branch (``None`` if an instance has no
+    ``int64`` form)."""
+    int64 = _np.int64
+    vertex_offset = [0]
+    edge_offset = [0]
+    weights: list = []
+    cell_blocks = []
+    length_blocks = []
+    for hypergraph in hypergraphs:
+        arrays = hypergraph._arrays()
+        if arrays is None:
+            return None
+        cells, offsets = arrays
+        vertex_base = vertex_offset[-1]
+        vertex_offset.append(vertex_base + hypergraph.num_vertices)
+        edge_offset.append(edge_offset[-1] + hypergraph.num_edges)
+        weights.extend(hypergraph.weights)
+        cell_blocks.append(cells + vertex_base if vertex_base else cells)
+        length_blocks.append(_np.diff(offsets))
+    all_cells = _np.concatenate(cell_blocks)
+    lengths = _np.concatenate(length_blocks)
+    starts = _np.zeros(len(lengths), dtype=int64)
+    _np.cumsum(lengths[:-1], out=starts[1:])
+    instance_ids = _np.arange(len(hypergraphs), dtype=int64)
+    return BatchArena(
+        num_instances=len(hypergraphs),
+        vertex_offset=tuple(vertex_offset),
+        edge_offset=tuple(edge_offset),
+        weights=tuple(weights),
+        membership=CSRLayout(lengths=lengths, starts=starts, cells=all_cells),
+        instance_of_vertex=_np.repeat(
+            instance_ids, _np.diff(_np.array(vertex_offset, dtype=int64))
+        ),
+        instance_of_edge=_np.repeat(
+            instance_ids, _np.diff(_np.array(edge_offset, dtype=int64))
+        ),
     )

@@ -34,7 +34,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from repro.exceptions import InvalidInstanceError
-from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.hypergraph import Hypergraph, _normalized_weights
+
+try:  # pragma: no cover - exercised implicitly by either branch
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
 __all__ = [
     "dumps",
@@ -60,6 +65,16 @@ def _parse_weight(token: str, line_number: int) -> int | Fraction:
         ) from error
 
 
+def _parse_int(token: str, line_number: int, what: str) -> int:
+    """An integer token of a ``p`` or ``e`` line."""
+    try:
+        return int(token)
+    except ValueError as error:
+        raise InvalidInstanceError(
+            f"line {line_number}: malformed {what} {token!r}"
+        ) from error
+
+
 def dumps(hypergraph: Hypergraph, *, comment: str | None = None) -> str:
     """Serialize ``hypergraph`` to the text format."""
     lines: list[str] = []
@@ -77,7 +92,21 @@ def dumps(hypergraph: Hypergraph, *, comment: str | None = None) -> str:
 
 
 def loads(text: str) -> Hypergraph:
-    """Parse the text format back into a :class:`Hypergraph`."""
+    """Parse the text format back into a :class:`Hypergraph`.
+
+    With numpy present, text whose ``e`` lines form one final block of
+    uniform arity with single-space separators (the shape :func:`dumps`
+    writes) is read column-wise into an array-backed instance; any
+    other text, and any text the column reader cannot vouch for, goes
+    through the line-by-line parser, so the result and every error are
+    the same either way.
+    """
+    hypergraph = _loads_columnar(text)
+    return hypergraph if hypergraph is not None else _loads_scalar(text)
+
+
+def _scan(text: str):
+    """The line-by-line pass: ``(n, declared m, weights, edges)``."""
     num_vertices: int | None = None
     declared_edges: int | None = None
     weights: list[int | Fraction] | None = None
@@ -97,8 +126,8 @@ def loads(text: str) -> Hypergraph:
                 raise InvalidInstanceError(
                     f"line {line_number}: expected 'p mwhvc <n> <m>', got {line!r}"
                 )
-            num_vertices = int(fields[2])
-            declared_edges = int(fields[3])
+            num_vertices = _parse_int(fields[2], line_number, "vertex count")
+            declared_edges = _parse_int(fields[3], line_number, "edge count")
         elif tag == "w":
             if num_vertices is None:
                 raise InvalidInstanceError(
@@ -112,11 +141,22 @@ def loads(text: str) -> Hypergraph:
                 raise InvalidInstanceError(
                     f"line {line_number}: edge before problem line"
                 )
-            edges.append(tuple(int(field) for field in fields[1:]))
+            try:
+                edges.append(tuple(int(field) for field in fields[1:]))
+            except ValueError:
+                for field in fields[1:]:  # name the first malformed id
+                    _parse_int(field, line_number, "vertex id")
+                raise
         else:
             raise InvalidInstanceError(
                 f"line {line_number}: unknown line tag {tag!r}"
             )
+    return num_vertices, declared_edges, weights, edges
+
+
+def _loads_scalar(text: str) -> Hypergraph:
+    """The reference parser: every line through :func:`_scan`."""
+    num_vertices, declared_edges, weights, edges = _scan(text)
     if num_vertices is None:
         raise InvalidInstanceError("missing problem line 'p mwhvc <n> <m>'")
     if declared_edges is not None and declared_edges != len(edges):
@@ -125,6 +165,122 @@ def loads(text: str) -> Hypergraph:
             f"{len(edges)} were given"
         )
     return Hypergraph(num_vertices, edges, weights)
+
+
+#: Byte classes of an ``e`` block: 0 anything else, 1 digit, 2 blank,
+#: 3 newline, 4 the ``e`` tag.
+_BYTE_CLASS = bytearray(256)
+_BYTE_CLASS[ord("0") : ord("9") + 1] = b"\x01" * 10
+_BYTE_CLASS[ord(" ")] = _BYTE_CLASS[ord("\t")] = 2
+_BYTE_CLASS[ord("\n")] = 3
+_BYTE_CLASS[ord("e")] = 4
+
+#: Longest decimal token summed in int64 without overflow.
+_MAX_DIGITS = 18
+
+
+def _edge_rows(block: bytes):
+    """``e`` lines of one arity as an ``(m, k)`` int64 array, or ``None``.
+
+    ``block`` must be ASCII lines, each ``e`` followed by blank-separated
+    unsigned decimal ids, joined by ``\\n`` with no trailing newline.
+    Anything else (comments, other tags, signs, blank lines, mixed
+    arities, ids of more than 18 digits) returns ``None``.
+    """
+    data = _np.frombuffer(block, dtype=_np.uint8)
+    kind = _np.frombuffer(_BYTE_CLASS, dtype=_np.uint8)[data]
+    if not kind.all():
+        return None
+    tags = _np.flatnonzero(kind == 4)
+    breaks = _np.flatnonzero(kind == 3)
+    rows = len(tags)
+    # Every line starts with its tag, and only there; a blank follows.
+    if (
+        rows != len(breaks) + 1
+        or tags[0] != 0
+        or (tags[1:] != breaks + 1).any()
+        or tags[-1] + 1 >= len(data)
+        or (kind[tags + 1] != 2).any()
+    ):
+        return None
+    # Digit runs are the tokens.  The block starts with a tag, so the
+    # digit/non-digit flips alternate start, end, start, ...
+    digit = kind == 1
+    flips = _np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    starts = flips[0::2]
+    ends = flips[1::2]
+    if len(ends) < len(starts):
+        ends = _np.append(ends, len(data))
+    widths = ends - starts
+    count = len(starts)
+    if count == 0 or count % rows or widths.max() > _MAX_DIGITS:
+        return None
+    arity = count // rows
+    # Tokens before each line's tag: the same arity on every line.
+    if (
+        _np.searchsorted(starts, tags) != _np.arange(0, count, arity)
+    ).any():
+        return None
+    # Decimal values, Horner style: one pass per digit position.
+    values = _np.zeros(count, dtype=_np.int64)
+    for position in range(int(widths.max())):
+        live = widths > position
+        digits = data[starts[live] + position] - ord("0")
+        values[live] = values[live] * 10 + digits
+    return values.reshape(rows, arity)
+
+
+def _loads_columnar(text: str) -> Hypergraph | None:
+    """Array-backed :func:`loads` for one final uniform ``e`` block
+    whose ids are separated by single spaces.
+
+    Returns ``None`` whenever the text is not of that shape or fails a
+    check, leaving the reference parser to produce the result or the
+    error.  The lines before the block go through :func:`_scan`.
+    """
+    if _np is None:
+        return None
+    start = 0 if text.startswith("e") else text.find("\ne") + 1
+    if start == 0 and not text.startswith("e"):
+        return None
+    block = text[start:].rstrip()
+    # Before any array work: one space per id on every line, as dumps
+    # writes it, and no \r.  Ragged blocks, trailing comments and \r\n
+    # line ends fall back here for the cost of a few string counts.
+    end = block.find("\n")
+    arity = block.count(" ", 0, end if end >= 0 else len(block))
+    if (
+        "\r" in block
+        or block.count(" ") != arity * (block.count("\n") + 1)
+        or not block.isascii()
+    ):
+        return None
+    try:
+        num_vertices, declared_edges, weights, edges = _scan(text[:start])
+    except InvalidInstanceError:
+        return None
+    if num_vertices is None or edges:
+        return None
+    rows = _edge_rows(block.encode("ascii"))
+    if rows is None or len(rows) != declared_edges:
+        return None
+    rows.sort(axis=1)
+    if (rows[:, 1:] == rows[:, :-1]).any() or rows[:, -1].max() >= num_vertices:
+        return None
+    try:
+        weights, all_int = _normalized_weights(num_vertices, weights)
+    except InvalidInstanceError:
+        return None
+    if all_int:
+        try:  # an int64 weight array when every weight fits
+            weights = _np.array(weights, dtype=_np.int64)
+        except OverflowError:
+            pass
+    count, arity = rows.shape
+    offsets = _np.arange(0, count * arity + 1, arity, dtype=_np.int64)
+    return Hypergraph._from_arrays(
+        num_vertices, rows.reshape(-1), offsets, weights
+    )
 
 
 def save(hypergraph: Hypergraph, path: str | Path, *, comment: str | None = None) -> None:

@@ -38,7 +38,10 @@ section therefore has two encodings, chosen per file: ``int64`` when
 every weight is a machine-width int (the overwhelmingly common case),
 else the canonical ``str(Fraction)``/``str(int)`` text tokens of the
 ``.hg`` format — both round-trip **byte-identically** through
-save → load → save, which the hypothesis soak pins.
+save → load → save, which the hypothesis soak pins.  An ``int64``
+section loads as an ``array("q")`` (items read as plain ints), which
+:func:`repro.hypergraph.csr.arena_hypergraphs` views as the
+instances' ``int64`` weight arrays without a per-weight decode.
 
 Only same-machine byte order is supported (native ``int64``, like the
 shared-memory transport): a store directory is a local corpus cache,
@@ -140,12 +143,6 @@ class ArenaSource:
     path: str
     mmapped: bool = False
     buffer: object | None = field(default=None, compare=False, repr=False)
-    #: ``True`` when the container's weights section was the int64
-    #: binary encoding — every decoded weight is then a plain ``int``,
-    #: and reconstruction can skip the per-weight integrality rescan.
-    #: ``None`` means "unknown" (text encoding; weights may hold big
-    #: ints or Fractions).
-    weights_all_int: bool | None = None
 
 
 def _slab_bytes(values) -> bytes:
@@ -183,11 +180,11 @@ def _decode_weights(kind: int, raw: bytes, expected: int):
                 f"weights section holds {len(raw)} bytes, expected "
                 f"{expected * 8} for {expected} int64 weights"
             )
-        if _np is not None:
-            return tuple(_np.frombuffer(raw, dtype=_np.int64).tolist())
+        # Kept as native words: items read as plain ints, and array
+        # consumers view the buffer without a per-weight decode.
         decoded = array("q")
         decoded.frombytes(raw)
-        return tuple(decoded)
+        return decoded
     if kind != _WEIGHTS_TEXT:
         raise ArenaStoreError(f"unknown weights encoding {kind}")
     try:
@@ -507,9 +504,6 @@ def _decode_container(path, buffer, size, mapped, verify) -> BatchArena:
             path=str(path),
             mmapped=mapped is not None,
             buffer=mapped,
-            weights_all_int=(
-                True if weights_kind == _WEIGHTS_INT64 else None
-            ),
         ),
     )
 

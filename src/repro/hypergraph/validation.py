@@ -23,6 +23,10 @@ __all__ = [
 def require_vertex_subset(hypergraph: Hypergraph, vertices: Iterable[int]) -> set[int]:
     """Validate that ``vertices`` are ids of ``hypergraph``; return them as a set."""
     chosen = set(vertices)
+    if set(map(type, chosen)) <= {int} and (
+        not chosen or 0 <= min(chosen) <= max(chosen) < hypergraph.num_vertices
+    ):
+        return chosen
     for vertex in chosen:
         if not isinstance(vertex, int) or isinstance(vertex, bool):
             raise InvalidInstanceError(f"vertex id {vertex!r} is not an int")
@@ -42,11 +46,13 @@ def require_cover(hypergraph: Hypergraph, vertices: Iterable[int]) -> set[int]:
         If some hyperedge is not covered (the first offender is named).
     """
     chosen = require_vertex_subset(hypergraph, vertices)
-    for edge_id, edge in enumerate(hypergraph.edges):
-        if chosen.isdisjoint(edge):
-            raise CertificateError(
-                f"hyperedge {edge_id} = {edge} is not covered by the solution"
-            )
+    uncovered = hypergraph.uncovered_edges(chosen)
+    if uncovered:
+        edge_id = uncovered[0]
+        raise CertificateError(
+            f"hyperedge {edge_id} = {hypergraph.edge(edge_id)} is not "
+            f"covered by the solution"
+        )
     return chosen
 
 

@@ -140,6 +140,7 @@ class ApproximationCertificate:
             )
             if min(scaled, default=0) < 0:
                 raise CertificateError(_INFEASIBLE)
+            edge_ids = None
         else:
             require_dual_edge_ids(hypergraph, delta)
             # Mapping order, so the first negative value rejects before
@@ -163,11 +164,8 @@ class ApproximationCertificate:
                 num * factors[den]
                 for num, den in zip(numerators, denominators)
             ]
-        edges = hypergraph.edges
-        load = [0] * hypergraph.num_vertices
-        for edge_id, mass in zip(delta, scaled):
-            for vertex in edges[edge_id]:
-                load[vertex] += mass
+            edge_ids = delta
+        load = hypergraph._vertex_sums(scaled, edge_ids)
         for mass, weight in zip(load, hypergraph.weights):
             if type(weight) is int:
                 if mass > common * weight:

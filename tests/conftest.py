@@ -69,3 +69,22 @@ def uniform_instances(count: int = 4, rank: int = 3) -> list[Hypergraph]:
         )
         for seed in range(count)
     ]
+
+
+def array_twin(hypergraph: Hypergraph) -> Hypergraph:
+    """The array-backed instance equal to ``hypergraph``.
+
+    Built the way a worker or a store reader builds instances (a packed
+    arena, unpacked), with an ``int64`` weight array when every weight
+    is an int that fits.  Its tuple views are not built yet; comparing
+    it with a tuple-built instance builds them.
+    """
+    from repro.hypergraph.csr import arena_hypergraphs, pack_arena
+
+    (twin,) = arena_hypergraphs(pack_arena([hypergraph]))
+    weights = twin.weights_int64()
+    if weights is None:
+        return twin
+    return Hypergraph._from_arrays(
+        twin.num_vertices, twin._cells, twin._offsets, weights
+    )

@@ -46,6 +46,8 @@ from repro.lp.covering_lp import dual_feasible, dual_value, vertex_load
 from repro.lp.duality import ApproximationCertificate
 from repro.lp.scaled import ScaledDual
 
+from conftest import array_twin
+
 CERT_SETTINGS = settings(
     max_examples=int(os.environ.get("CERT_DIFF_EXAMPLES", "15")),
     deadline=None,
@@ -426,6 +428,83 @@ def test_every_scaled_corruption_is_caught_somewhere():
             for pick in range(3):
                 rejected |= assert_scaled_checks_agree(
                     hypergraph, cover, dual, Fraction(1, 3), pick
+                )
+    assert {
+        "raise-one",
+        "negate-one",
+        "scale-minus-one",
+        "extra-entry",
+        "lower-weight",
+        "drop-cover-vertex",
+    } <= rejected
+
+
+# ----------------------------------------------------------------------
+# Array-backed instances
+# ----------------------------------------------------------------------
+
+
+def widened(dual, shift):
+    """The same packing over ``S * 2**shift``: numerators ``shift`` bits
+    wider."""
+    return ScaledDual(
+        dual.scale << shift, [numerator << shift for numerator in dual.numerators]
+    )
+
+
+def assert_twin_checks_agree(hypergraph, cover, dual, epsilon, pick=0):
+    """Every scaled variant, checked on the array-backed twin of its
+    instance (as the ``ScaledDual`` and as ``dict()`` of it), agrees
+    with the oracle on the tuple-built instance; returns the rejected
+    variants' names."""
+    rank = max(1, hypergraph.rank)
+    rejected = set()
+    for name, graph, chosen, scaled in scaled_variants(
+        hypergraph, cover, dual, pick
+    ):
+        reference = outcome(oracle_verify, graph, chosen, scaled, rank, epsilon)
+        for delta in (scaled, dict(scaled)):
+            fast = outcome(
+                ApproximationCertificate.verify, array_twin(graph), chosen,
+                delta, rank, epsilon,
+            )
+            assert fast == reference, f"{name}: {fast!r} != {reference!r}"
+        if not isinstance(reference, ApproximationCertificate):
+            rejected.add(name)
+    return rejected
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="array-backed instances need numpy")
+@pytest.mark.parametrize("shift", (0, 64, 130))
+@pytest.mark.parametrize("solver", SCALED_SOLVERS)
+@CERT_SETTINGS
+@given(
+    hypergraph=hypergraphs(),
+    epsilon=EPSILONS,
+    pick=st.integers(min_value=0, max_value=10**6),
+)
+def test_scaled_dual_checks_on_array_twin_match_oracle(
+    solver, shift, hypergraph, epsilon, pick
+):
+    """The checker's array scatter: int64, two 32-bit limbs, and the
+    byte-split limbs past 2**64 (``shift`` 64 and 130 put every nonzero
+    numerator past 2**63 and 2**128)."""
+    cover, dual = solve(hypergraph, epsilon, solver)
+    assert_twin_checks_agree(hypergraph, cover, widened(dual, shift), epsilon, pick)
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="array-backed instances need numpy")
+def test_every_scaled_corruption_is_caught_on_array_twins():
+    rejected = set()
+    for seed in range(6):
+        hypergraph = mixed_rank_hypergraph(
+            14, 24, 3, seed=seed, weights=uniform_weights(14, 60, seed=seed + 20)
+        )
+        for solver in ("int64", "incremental"):
+            cover, dual = solve(hypergraph, Fraction(1, 3), solver)
+            for pick, shift in zip(range(3), (0, 64, 130)):
+                rejected |= assert_twin_checks_agree(
+                    hypergraph, cover, widened(dual, shift), Fraction(1, 3), pick
                 )
     assert {
         "raise-one",
