@@ -280,6 +280,10 @@ class ArenaCatalog:
             raise ArenaStoreError(
                 f"{self.directory} is not a corpus catalog: {error}"
             ) from error
+        except UnicodeDecodeError as error:
+            raise ArenaStoreError(
+                f"{manifest_path}: byte {error.start} is not valid UTF-8"
+            ) from error
         try:
             manifest = json.loads(raw)
         except json.JSONDecodeError as error:

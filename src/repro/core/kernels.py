@@ -691,7 +691,10 @@ class LaneRun:
         self.covered = _np.zeros(total_e, dtype=bool)
         self.raise_count = _np.zeros(total_e, dtype=int64)
         self.halving_count = _np.zeros(total_e, dtype=int64)
-        self.inst_e = _np.asarray(arena.instance_of_edge, dtype=int64)
+        instance_ids = _np.arange(self.count, dtype=int64)
+        self.inst_e = _np.repeat(
+            instance_ids, _np.diff(_np.array(arena.edge_offset, dtype=int64))
+        )
 
         # -- vertex-side state ----------------------------------------
         self.scales = [
@@ -804,15 +807,12 @@ class LaneRun:
         self.flags = _np.zeros(total_v, dtype=int64)
         self.in_cover = _np.zeros(total_v, dtype=bool)
         self.dead = degrees == 0
-        self.inst_v = _np.asarray(arena.instance_of_vertex, dtype=int64)
+        vertex_counts = _np.diff(_np.array(arena.vertex_offset, dtype=int64))
+        self.inst_v = _np.repeat(instance_ids, vertex_counts)
         self.beta_den_v = _np.repeat(
-            _np.array(beta_den, dtype=int64),
-            _np.diff(_np.array(arena.vertex_offset, dtype=int64)),
+            _np.array(beta_den, dtype=int64), vertex_counts
         )
-        self.z_v = _np.repeat(
-            _np.array(z_caps, dtype=int64),
-            _np.diff(_np.array(arena.vertex_offset, dtype=int64)),
-        )
+        self.z_v = _np.repeat(_np.array(z_caps, dtype=int64), vertex_counts)
         z_max = max(z_caps)
         self.stuck = _np.zeros((total_v, z_max), dtype=int64)
 

@@ -23,14 +23,15 @@ submission order.  Parallelism is purely an execution detail:
   :class:`CostModel` folds into a live correction table (keyed by lane
   + structure signature) consulted on the next call — the feedback
   loop that keeps systematic misestimates from recurring;
-* **shared-memory transport** — a shard's CSR structure crosses the
-  process boundary as one flat ``int64`` buffer in a
-  ``multiprocessing.shared_memory`` block
-  (:func:`repro.hypergraph.csr.serialize_arena`), avoiding the pickle
-  of O(nnz) Python object graphs; weights/config ride in a small
-  pickled header.  Where shared memory is unavailable (or creation
-  fails), the same buffer travels inside the pickled payload instead —
-  identical results, slightly more copying;
+* **shared-memory transport** — a shard crosses the process boundary
+  as one arena container (:func:`repro.hypergraph.store.encode_arena`:
+  structure and weights, a CRC per section) in a
+  ``multiprocessing.shared_memory`` block, avoiding the pickle of
+  O(nnz) Python object graphs; the config rides in a small pickled
+  header.  Where shared memory is unavailable (or creation fails), the
+  same bytes travel inside the pickled payload instead — identical
+  results, slightly more copying.  A store-backed arena ships as its
+  file's path instead;
 * **bit-identical merging** — every worker runs
   :func:`repro.core.batch.run_fastpath_batch` on its shard, whose
   per-instance contract is already "identical to a solo fastpath run",
@@ -69,13 +70,9 @@ from repro.core.kernels import LANE_TABLE, MACHINE_LANES, lane_eligibility
 from repro.core.params import AlgorithmConfig, resolve_alpha
 from repro.core.result import AlgorithmStats, CoverResult
 from repro.exceptions import ArenaTransportError, WorkerResultError
-from repro.hypergraph.csr import (
-    arena_hypergraphs,
-    deserialize_arena,
-    pack_arena,
-    serialize_arena,
-)
+from repro.hypergraph.csr import arena_hypergraphs, pack_arena
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.store import decode_arena, encode_arena, load_arena
 from repro.lp.scaled import ScaledDual, raw_fraction_list
 
 try:  # pragma: no cover - absent only on exotic builds
@@ -587,8 +584,8 @@ def _solve_shard(
 ) -> tuple[int, list[tuple], list[float], bool]:
     """Worker entry point: solve one shard with the in-process executor.
 
-    The payload carries the shard's serialized arena (by shared-memory
-    name or inline bytes), the concatenated weights, the config, and
+    The payload carries the shard's arena container (by shared-memory
+    name, inline bytes or store file path), the config, and
     the parent's lane budgets — shipping the budgets keeps parent
     and workers agreeing on lane admission even when tests shrink them
     to force spills.  Results return in the compact wire format of
@@ -608,10 +605,10 @@ def _solve_shard(
     on pickup and then touches as the solver advances (through the
     ``kernels._BEAT`` hook), so the parent's supervisor can tell a long
     solve from a stalled one and kill *this* process when it stalls.
-    A vanished shared-memory segment or a
-    corrupted buffer raises a typed
-    :class:`~repro.exceptions.ArenaTransportError`, which the parent
-    treats as a recoverable transport fault.
+    A vanished shared-memory segment or container file raises a typed
+    :class:`~repro.exceptions.ArenaTransportError`, and a corrupted
+    container an :class:`~repro.exceptions.ArenaStoreError`; the parent
+    treats both as recoverable transport faults.
     """
     directive = payload.get("fault")
     if directive is not None and directive[0] == "kill":
@@ -638,8 +635,6 @@ def _solve_shard(
         # filesystem.  A vanished file is a transport accident like a
         # vanished shm segment; a damaged one raises ArenaStoreError,
         # which the parent's recovery treats identically.
-        from repro.hypergraph.store import load_arena
-
         try:
             arena = load_arena(details[0], mmap=True)
         except OSError as error:
@@ -658,7 +653,9 @@ def _solve_shard(
                 ) from error
         else:
             buffer = details[0]
-        arena = deserialize_arena(buffer, payload["weights"])
+        # ``buffer`` is this worker's own copy of the segment, so the
+        # decoded views cannot change under the solve.
+        arena = decode_arena(buffer)
     # The instances are reconstructed for per-instance metadata only
     # (iteration-0 state preparation, finalization); the executor
     # consumes the shipped arena itself, slicing the per-lane
@@ -771,7 +768,7 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 
 def ship_buffer(buffer: bytes):
-    """Choose a transport for one serialized-arena buffer.
+    """Choose a transport for one encoded arena container.
 
     Returns ``(transport, shm_block | None)``: a shared-memory segment
     holding the buffer when available (the caller owns the block and
@@ -804,7 +801,8 @@ def ship_arena(arena):
     is copied into ``/dev/shm``.  Anything else — a freshly packed
     arena, a sliced sub-arena (slicing drops provenance), a source
     whose file has since been deleted — falls back to
-    :func:`ship_buffer` over :func:`serialize_arena`.
+    :func:`ship_buffer` over its
+    :func:`~repro.hypergraph.store.encode_arena` container.
 
     Returns ``(transport, shm_block | None)`` like :func:`ship_buffer`;
     file transports never own a block.
@@ -813,7 +811,7 @@ def ship_arena(arena):
     path = getattr(source, "path", None)
     if path is not None and not _FORCE_PICKLE and os.path.isfile(path):
         return ("file", path), None
-    return ship_buffer(serialize_arena(arena))
+    return ship_buffer(encode_arena(arena))
 
 
 def shard_payload(arena, shard, config, verify, *, fault=None):
@@ -834,10 +832,6 @@ def shard_payload(arena, shard, config, verify, *, fault=None):
     return {
         "shard": shard,
         "transport": transport,
-        # A file transport carries its own weights inside the
-        # container; shipping them again through pickle would be pure
-        # overhead (and the dominant cost for bigint corpora).
-        "weights": arena.weights if transport[0] != "file" else None,
         "config": config,
         "verify": verify,
         "budgets": {

@@ -1001,11 +1001,12 @@ class BatchSession:
     def _sabotage_block(block, kind: str) -> None:
         """Apply one ship fault to a shared-memory transport block.
 
-        ``"detach"`` unlinks the segment so the worker's read fails;
-        ``"corrupt"`` flips one payload byte so the arena checksum
-        rejects it.  Both surface worker-side as a typed
-        :class:`~repro.exceptions.ArenaTransportError` — a recoverable
-        transport fault, never silent corruption.
+        ``"detach"`` unlinks the segment so the worker's read fails
+        with a typed :class:`~repro.exceptions.ArenaTransportError`;
+        ``"corrupt"`` flips a byte of the container frame's header
+        CRC, so the worker's decode raises
+        :class:`~repro.exceptions.ArenaStoreError`.  Both are
+        recoverable transport faults, never silent corruption.
         """
         if kind == "detach":
             try:

@@ -62,28 +62,32 @@ class TransportError(ReproError, RuntimeError):
 
 
 class ArenaTransportError(TransportError):
-    """A shipped CSR arena buffer failed integrity validation.
+    """A shipped CSR arena could not be read at all.
 
-    Raised by :func:`repro.hypergraph.csr.deserialize_arena` when the
-    buffer is truncated, its magic header is missing, or its checksum
-    does not match — and by the worker entry point when the backing
-    shared-memory segment vanished before it could be read.
+    Raised by the worker entry point
+    (:func:`repro.core.parallel._solve_shard`) when the shared-memory
+    segment or the container file backing its shard vanished before
+    the worker could read it.  Bytes that arrive damaged raise
+    :class:`ArenaStoreError` instead, from the container decoder.
     """
 
 
 class ArenaStoreError(TransportError):
-    """A persistent arena container failed integrity validation.
+    """An arena container failed integrity validation.
 
-    Raised by :func:`repro.hypergraph.store.load_arena` (and the
-    catalog layer over it) when an on-disk container is unreadable as
-    written: missing or damaged magic header, a version newer than this
-    library understands, a truncated file, a section whose checksum
-    does not match its bytes, or a malformed corpus manifest.  Like its
-    :class:`TransportError` siblings this is a *typed refusal*: a
-    damaged store must surface as an error the caller (or the corpus
-    iterator, which can skip the segment and report it) handles — never
-    as a silently wrong cover or an out-of-bounds numpy view over a
-    short mmap.
+    Raised by :func:`repro.hypergraph.store.decode_arena` and
+    :func:`~repro.hypergraph.store.load_arena` (and the catalog layer
+    over them) when a container — a file, or a shard shipped to a
+    worker — is unreadable as written: missing or damaged magic
+    header, a version newer than this library understands, a truncated
+    buffer, a section whose checksum does not match its bytes,
+    structurally inconsistent slabs, or a malformed corpus manifest.
+    Like its :class:`TransportError` siblings this is a *typed
+    refusal*: a damaged container must surface as an error the caller
+    (the corpus iterator, which can skip the segment and report it, or
+    the scheduler, which retries the shard) handles — never as a
+    silently wrong cover or an out-of-bounds numpy view over a short
+    buffer.
     """
 
 

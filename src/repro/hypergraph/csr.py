@@ -19,26 +19,23 @@ already holds its CSR arrays (see
 concatenates instance arrays into ``int64`` slabs; otherwise (and
 without numpy) it builds the plain tuples.
 
-For the multiprocess executor (:mod:`repro.core.parallel`) an arena's
-structure round-trips through one flat native-``int64`` buffer:
-:func:`serialize_arena` / :func:`deserialize_arena` move a shard's
-packed CSR across the process boundary (via ``shared_memory`` or, as a
-fallback, an ordinary pickled payload) without serializing Python
-object graphs, and :func:`arena_hypergraphs` reconstructs the packed
-instances — the exact inverse of :func:`pack_arena` — on the worker
-side.  Vertex weights travel separately: they may be arbitrary exact
-rationals, which have no fixed-width representation.
+An arena has one binary form, the container of
+:mod:`repro.hypergraph.store` (:func:`~repro.hypergraph.store.encode_arena`
+/ :func:`~repro.hypergraph.store.decode_arena`): it is what a corpus
+keeps on disk and what the multiprocess executor
+(:mod:`repro.core.parallel`) ships to a worker, weights included.
+:func:`arena_hypergraphs` reconstructs the packed instances — the
+exact inverse of :func:`pack_arena` — from any arena.
 """
 
 from __future__ import annotations
 
-import zlib
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from repro.exceptions import ArenaTransportError, InvalidInstanceError
+from repro.exceptions import InvalidInstanceError
 from repro.hypergraph.hypergraph import Hypergraph
 
 try:  # pragma: no cover - exercised implicitly by either branch
@@ -55,8 +52,6 @@ __all__ = [
     "patch_arena",
     "slice_arena",
     "arena_incidence",
-    "serialize_arena",
-    "deserialize_arena",
     "arena_hypergraphs",
 ]
 
@@ -151,14 +146,15 @@ class BatchArena:
     layout is derived from it — vectorized consumers get it via a
     stable argsort of the membership cells).  The offset tables
     (length ``K + 1``, ending in the totals) slice any global array
-    back into per-instance views.
+    back into per-instance views, and the instance owning a global
+    vertex or edge is a ``repeat`` over their differences.
 
-    The structural slabs (membership, instance maps) are tuples or
-    ``int64`` numpy arrays; ``weights`` is a tuple, or an
-    ``array("q")`` when it is an arena store's ``int64`` weight section
-    (its items read as plain ints).  Arenas compare by value, so an
-    array-packed arena equals the tuple-built arena of the same
-    instances; only tuple-built arenas are hashable.
+    The membership slabs are tuples or ``int64`` numpy arrays;
+    ``weights`` is a tuple, or an ``array("q")`` when it is an arena
+    container's ``int64`` weight section (its items read as plain
+    ints).  Arenas compare by value, so an array-packed arena equals
+    the tuple-built arena of the same instances; only tuple-built
+    arenas are hashable.
     """
 
     num_instances: int
@@ -166,8 +162,6 @@ class BatchArena:
     edge_offset: tuple[int, ...]
     weights: tuple[int | Fraction, ...]
     membership: CSRLayout
-    instance_of_vertex: tuple[int, ...]
-    instance_of_edge: tuple[int, ...]
     #: Provenance annotation for arenas materialized from a persistent
     #: container (:func:`repro.hypergraph.store.load_arena`): carries
     #: the backing file path (and, for mmap loads, the mapped buffer
@@ -222,125 +216,6 @@ def arena_incidence(arena: BatchArena) -> CSRLayout:
     return _layout(incidence)
 
 
-#: ``b"ARNA"`` as a little-endian int64: the first header word of
-#: every serialized arena.  A buffer without it never reaches the
-#: structural decode.
-_ARENA_MAGIC = int.from_bytes(b"ARNA\x00\x00\x00\x00", "little")
-
-#: Header words prepended to the structural payload:
-#: ``[magic, payload_byte_length, crc32(payload)]``.
-_ARENA_HEADER_WORDS = 3
-_ARENA_HEADER_BYTES = _ARENA_HEADER_WORDS * 8
-
-
-def serialize_arena(arena: BatchArena) -> bytes:
-    """An arena's structure as one flat native-``int64`` buffer.
-
-    Layout: a 3-word integrity header ``[magic, payload_bytes, crc32]``
-    followed by the structural payload ``[K, vertex_offset (K+1),
-    edge_offset (K+1), membership.lengths (total edges),
-    membership.cells (total cells)]`` — every section's size is
-    derivable from the prefix, so :func:`deserialize_arena` needs no
-    side channel.  The header lets the receiver reject a truncated or
-    bit-flipped buffer with a typed
-    :class:`~repro.exceptions.ArenaTransportError` instead of decoding
-    garbage: the buffer crosses a process boundary through shared
-    memory, where a worker dying mid-transfer (or a chaos plan
-    deliberately damaging the segment) must surface as a recoverable
-    transport fault, never as silent corruption.  Weights are *not*
-    included (they may be Fractions of unbounded size); ship them
-    separately and pass them back to :func:`deserialize_arena`.
-    """
-    payload = array("q", [arena.num_instances])
-    payload.extend(arena.vertex_offset)
-    payload.extend(arena.edge_offset)
-    body = payload.tobytes() + b"".join(
-        # int64 arrays (array-packed or loaded arenas) copy as they are.
-        slab.tobytes() if hasattr(slab, "tobytes") else array("q", slab).tobytes()
-        for slab in (arena.membership.lengths, arena.membership.cells)
-    )
-    header = array("q", [_ARENA_MAGIC, len(body), zlib.crc32(body)])
-    return header.tobytes() + body
-
-
-def deserialize_arena(buffer, weights) -> BatchArena:
-    """Rebuild a :class:`BatchArena` from :func:`serialize_arena` bytes.
-
-    ``buffer`` is any bytes-like object (a ``shared_memory`` view or a
-    pickled payload); ``weights`` is the concatenated per-vertex weight
-    tuple the sender shipped alongside.  Only same-machine transport is
-    supported (native byte order — the buffer never leaves the host).
-
-    Raises :class:`~repro.exceptions.ArenaTransportError` when the
-    integrity header is missing, the buffer is shorter than the header
-    claims, or the payload checksum does not match — the typed signal
-    the scheduler's recovery path (re-dispatch / in-process re-solve)
-    keys on.
-    """
-    raw = bytes(buffer)
-    if len(raw) < _ARENA_HEADER_BYTES:
-        raise ArenaTransportError(
-            f"arena buffer truncated: {len(raw)} bytes is shorter than "
-            f"the {_ARENA_HEADER_BYTES}-byte integrity header"
-        )
-    header = array("q")
-    header.frombytes(raw[:_ARENA_HEADER_BYTES])
-    magic, body_length, checksum = header
-    if magic != _ARENA_MAGIC:
-        raise ArenaTransportError(
-            f"arena buffer has no integrity header (magic "
-            f"{magic:#x} != {_ARENA_MAGIC:#x})"
-        )
-    body = raw[_ARENA_HEADER_BYTES : _ARENA_HEADER_BYTES + body_length]
-    if len(body) != body_length:
-        raise ArenaTransportError(
-            f"arena buffer truncated: header claims {body_length} payload "
-            f"bytes, only {len(body)} present"
-        )
-    if zlib.crc32(body) != checksum:
-        raise ArenaTransportError(
-            "arena buffer failed its checksum: the payload was damaged "
-            "in transport"
-        )
-    data = array("q")
-    data.frombytes(body)
-    count = data[0]
-    position = 1
-    vertex_offset = tuple(data[position : position + count + 1])
-    position += count + 1
-    edge_offset = tuple(data[position : position + count + 1])
-    position += count + 1
-    total_edges = edge_offset[-1]
-    lengths = tuple(data[position : position + total_edges])
-    position += total_edges
-    cells = tuple(data[position : position + sum(lengths)])
-    if len(weights) != vertex_offset[-1]:
-        raise InvalidInstanceError(
-            f"arena buffer carries {vertex_offset[-1]} vertices but "
-            f"{len(weights)} weights were supplied"
-        )
-    instance_of_vertex: list[int] = []
-    instance_of_edge: list[int] = []
-    for index in range(count):
-        instance_of_vertex.extend(
-            [index] * (vertex_offset[index + 1] - vertex_offset[index])
-        )
-        instance_of_edge.extend(
-            [index] * (edge_offset[index + 1] - edge_offset[index])
-        )
-    return BatchArena(
-        num_instances=count,
-        vertex_offset=vertex_offset,
-        edge_offset=edge_offset,
-        weights=tuple(weights),
-        membership=CSRLayout(
-            lengths=lengths, starts=_starts_of(lengths), cells=cells
-        ),
-        instance_of_vertex=tuple(instance_of_vertex),
-        instance_of_edge=tuple(instance_of_edge),
-    )
-
-
 def _plain(slab):
     """A slab as a sequence of plain Python ints.
 
@@ -388,11 +263,9 @@ def slice_arena(arena: BatchArena, indices: Sequence[int]) -> BatchArena:
     vertex_offset = [0]
     edge_offset = [0]
     weights: list[int | Fraction] = []
-    instance_of_vertex: list[int] = []
-    instance_of_edge: list[int] = []
     lengths: list[int] = []
     cells: list[int] = []
-    for new_index, old_index in enumerate(indices):
+    for old_index in indices:
         vertex_lo = arena.vertex_offset[old_index]
         vertex_hi = arena.vertex_offset[old_index + 1]
         edge_lo = arena.edge_offset[old_index]
@@ -401,8 +274,6 @@ def slice_arena(arena: BatchArena, indices: Sequence[int]) -> BatchArena:
         vertex_offset.append(vertex_offset[-1] + (vertex_hi - vertex_lo))
         edge_offset.append(edge_offset[-1] + (edge_hi - edge_lo))
         weights.extend(arena.weights[vertex_lo:vertex_hi])
-        instance_of_vertex.extend([new_index] * (vertex_hi - vertex_lo))
-        instance_of_edge.extend([new_index] * (edge_hi - edge_lo))
         lengths.extend(membership_lengths[edge_lo:edge_hi])
         if edge_hi > edge_lo:
             cell_lo = membership_starts[edge_lo]
@@ -424,8 +295,6 @@ def slice_arena(arena: BatchArena, indices: Sequence[int]) -> BatchArena:
             starts=_starts_of(lengths),
             cells=tuple(cells),
         ),
-        instance_of_vertex=tuple(instance_of_vertex),
-        instance_of_edge=tuple(instance_of_edge),
     )
 
 
@@ -469,7 +338,6 @@ def patch_arena(
         starts=_plain(arena.membership.starts),
         cells=_plain(arena.membership.cells),
     )
-    instance_of_vertex = tuple(_plain(arena.instance_of_vertex))
 
     removed: set[int] = set()
     for position in removed_edges:
@@ -517,11 +385,6 @@ def patch_arena(
         weights[vertex_lo + vertex] = weight
     weights.extend(arena.weights[vertex_hi:])
 
-    instance_of_vertex = (
-        instance_of_vertex[:vertex_hi]
-        + (instance,) * grown_vertices
-        + instance_of_vertex[vertex_hi:]
-    )
     total_edges = len(membership.lengths)
     cell_lo = (
         membership.starts[edge_lo]
@@ -551,11 +414,6 @@ def patch_arena(
     cells.extend(
         cell + grown_vertices for cell in membership.cells[cell_hi:]
     )
-    instance_of_edge: list[int] = []
-    for index in range(arena.num_instances):
-        instance_of_edge.extend(
-            [index] * (edge_offset[index + 1] - edge_offset[index])
-        )
     return BatchArena(
         num_instances=arena.num_instances,
         vertex_offset=tuple(vertex_offset),
@@ -566,8 +424,6 @@ def patch_arena(
             starts=_starts_of(lengths),
             cells=tuple(cells),
         ),
-        instance_of_vertex=instance_of_vertex,
-        instance_of_edge=tuple(instance_of_edge),
     )
 
 
@@ -658,8 +514,7 @@ def pack_arena(hypergraphs: Sequence[Hypergraph]) -> BatchArena:
     arrays, the pass concatenates instance arrays (converting any
     tuple-only member once) and the structural slabs are ``int64``
     arrays — what the kernel lanes read.  Otherwise the slabs are the
-    plain tuples :func:`slice_arena`, :func:`patch_arena` and
-    :func:`deserialize_arena` build.
+    plain tuples :func:`slice_arena` and :func:`patch_arena` build.
     """
     if _np is not None and any(
         hypergraph._cells is not None for hypergraph in hypergraphs
@@ -670,18 +525,14 @@ def pack_arena(hypergraphs: Sequence[Hypergraph]) -> BatchArena:
     vertex_offset = [0]
     edge_offset = [0]
     weights: list[int] = []
-    instance_of_vertex: list[int] = []
-    instance_of_edge: list[int] = []
     membership_lengths: list[int] = []
     membership_cells: list[int] = []
-    for index, hypergraph in enumerate(hypergraphs):
+    for hypergraph in hypergraphs:
         vertex_base = vertex_offset[-1]
         edge_base = edge_offset[-1]
         vertex_offset.append(vertex_base + hypergraph.num_vertices)
         edge_offset.append(edge_base + hypergraph.num_edges)
         weights.extend(hypergraph.weights)
-        instance_of_vertex.extend([index] * hypergraph.num_vertices)
-        instance_of_edge.extend([index] * hypergraph.num_edges)
         for members in hypergraph.edges:
             membership_lengths.append(len(members))
             membership_cells.extend(
@@ -698,8 +549,6 @@ def pack_arena(hypergraphs: Sequence[Hypergraph]) -> BatchArena:
         edge_offset=tuple(edge_offset),
         weights=tuple(weights),
         membership=membership,
-        instance_of_vertex=tuple(instance_of_vertex),
-        instance_of_edge=tuple(instance_of_edge),
     )
 
 
@@ -727,17 +576,10 @@ def _pack_arrays(hypergraphs: Sequence[Hypergraph]) -> BatchArena | None:
     lengths = _np.concatenate(length_blocks)
     starts = _np.zeros(len(lengths), dtype=int64)
     _np.cumsum(lengths[:-1], out=starts[1:])
-    instance_ids = _np.arange(len(hypergraphs), dtype=int64)
     return BatchArena(
         num_instances=len(hypergraphs),
         vertex_offset=tuple(vertex_offset),
         edge_offset=tuple(edge_offset),
         weights=tuple(weights),
         membership=CSRLayout(lengths=lengths, starts=starts, cells=all_cells),
-        instance_of_vertex=_np.repeat(
-            instance_ids, _np.diff(_np.array(vertex_offset, dtype=int64))
-        ),
-        instance_of_edge=_np.repeat(
-            instance_ids, _np.diff(_np.array(edge_offset, dtype=int64))
-        ),
     )

@@ -288,9 +288,20 @@ def save(hypergraph: Hypergraph, path: str | Path, *, comment: str | None = None
     Path(path).write_text(dumps(hypergraph, comment=comment), encoding="utf-8")
 
 
+def _read_utf8(path: str | Path) -> str:
+    """``path``'s text; bytes that are not UTF-8 raise
+    :class:`InvalidInstanceError` naming the file and byte offset."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise InvalidInstanceError(
+            f"{path}: byte {error.start} is not valid UTF-8"
+        ) from error
+
+
 def load(path: str | Path) -> Hypergraph:
     """Read a hypergraph from ``path``."""
-    return loads(Path(path).read_text(encoding="utf-8"))
+    return loads(_read_utf8(path))
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +454,7 @@ def save_hif(hypergraph: Hypergraph, path: str | Path) -> None:
 def load_hif(path: str | Path) -> Hypergraph:
     """Read a HIF JSON file from ``path``."""
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        document = json.loads(_read_utf8(path))
     except json.JSONDecodeError as error:
         raise InvalidInstanceError(
             f"{path} is not valid JSON: {error}"

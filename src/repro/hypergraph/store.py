@@ -1,52 +1,63 @@
-"""Persistent on-disk containers for packed CSR arenas.
+"""Arena containers: the one binary form of a packed CSR arena.
 
 A :class:`~repro.hypergraph.csr.BatchArena` is already a set of flat
-integer slabs — the same representation that crosses process
-boundaries through shared memory.  This module gives those slabs a
-durable, versioned, integrity-checked on-disk form so a corpus packs
-once and every later process start skips the ``.hg`` parse-and-pack
-path entirely:
+integer slabs.  This module gives those slabs one versioned,
+integrity-checked encoding, used twice: a corpus packs once to disk
+and every later process start skips the ``.hg`` parse-and-pack path
+entirely, and the multiprocess executor ships a shard to a worker as
+the same bytes (:func:`repro.core.parallel.ship_arena`).
 
-* :func:`save_arena` writes one **container file**: the PR 9
-  ``[magic, payload length, crc32]`` integrity framing over a small
-  int64 header, followed by one section per structural slab
-  (``vertex_offset``, ``edge_offset``, membership ``lengths`` /
-  ``starts`` / ``cells``, the instance maps, and the weights), each
-  section **page-aligned** and carrying its own CRC32 in the header's
-  section table;
-* :func:`load_arena` validates the framing and rebuilds the arena.
-  With ``mmap=True`` (and numpy present) the structural sections come
-  back as ``int64`` **views over the mapped buffer** — zero copies,
-  which :class:`repro.core.kernels.LaneRun` and
+* :func:`encode_arena` builds one **container**: the
+  ``[magic, payload length, crc32]`` integrity frame over a small
+  int64 header, followed by one section per slab (``vertex_offset``,
+  ``edge_offset``, membership ``lengths`` / ``starts`` / ``cells``,
+  and the weights), each section **page-aligned** and carrying its own
+  CRC32 in the header's section table.  :func:`save_arena` writes it
+  atomically.
+* :func:`decode_arena` validates the frame, every section CRC and the
+  structure, and rebuilds the arena; :func:`load_arena` runs the same
+  decoder over a file.  With numpy the membership slabs come back as
+  ``int64`` **views over the decoded buffer**; with ``mmap=True`` that
+  buffer is the mapped file — zero copies, which
+  :class:`repro.core.kernels.LaneRun` and
   :func:`repro.core.batch.run_fastpath_batch(arena=...)` consume
   directly (their ``asarray`` conversions are no-ops on int64 arrays),
   so cold-start cost is the page faults the solve actually touches.
   The OS pages sections in and out on demand, which is what makes
   corpora bigger than RAM solvable one segment at a time
-  (:mod:`repro.core.corpus`).
+  (:mod:`repro.core.corpus`).  Without numpy the slabs are tuples.
 
-Every way a file can be wrong — missing or mangled magic, a version
-from the future, a truncated tail, a bit-flipped section, structurally
-inconsistent slabs — raises a typed
+This build writes version 2 (six sections) and reads versions 1 and
+2.  Version 1 also stored the per-vertex and per-edge instance maps,
+which are derivable from the offsets: a reader checks their CRCs and
+ignores them.
+
+A damaged container — missing or mangled magic, a version from the
+future, a truncated tail, a bit-flipped section, offsets, lengths or
+cells that index out of range — raises a typed
 :class:`~repro.exceptions.ArenaStoreError` (under
 :class:`~repro.exceptions.TransportError`, so the serving stack's
-recovery paths treat a damaged store exactly like a damaged shared
-memory segment: a recoverable fault, never silent corruption).
+recovery paths treat a damaged file and a damaged shared-memory
+shipment alike: a recoverable fault, never silent corruption).
 
 Weights are exact rationals and have no fixed-width form; the weights
-section therefore has two encodings, chosen per file: ``int64`` when
-every weight is a machine-width int (the overwhelmingly common case),
-else the canonical ``str(Fraction)``/``str(int)`` text tokens of the
-``.hg`` format — both round-trip **byte-identically** through
-save → load → save, which the hypothesis soak pins.  An ``int64``
-section loads as an ``array("q")`` (items read as plain ints), which
+section therefore has two encodings, chosen per arena: ``int64`` when
+every weight is a positive int that fits (the overwhelmingly common
+case), else space-separated exact text tokens: hex for an int, and
+``num/den`` in hex for a fraction (version 1 wrote decimal, which a
+reader still accepts).  Hex conversion has no digit cap, so weights
+tens of thousands of bits wide encode and decode under CPython's
+default int/str guard.  Both encodings round-trip
+**byte-identically** through save → load → save, which the
+hypothesis soak pins.  An ``int64`` section loads as an
+``array("q")`` (items read as plain ints), which
 :func:`repro.hypergraph.csr.arena_hypergraphs` views as the
 instances' ``int64`` weight arrays without a per-weight decode.
 
-Only same-machine byte order is supported (native ``int64``, like the
-shared-memory transport): a store directory is a local corpus cache,
-not a network interchange format — that is what the HIF import/export
-in :mod:`repro.hypergraph.io` is for.
+Only same-machine byte order is supported (native ``int64``): a
+container is a local corpus cache or a same-host shipment, not a
+network interchange format — that is what the HIF import/export in
+:mod:`repro.hypergraph.io` is for.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from repro.exceptions import ArenaStoreError
-from repro.hypergraph.csr import BatchArena, CSRLayout, _starts_of
+from repro.hypergraph.csr import BatchArena, CSRLayout, _as_tuple, _starts_of
 
 try:  # pragma: no cover - exercised via both CI matrix legs
     import numpy as _np
@@ -70,21 +81,21 @@ __all__ = [
     "STORE_VERSION",
     "PAGE_ALIGN",
     "ArenaSource",
+    "encode_arena",
+    "decode_arena",
     "save_arena",
     "load_arena",
 ]
 
 #: ``b"ARSTORE"`` as a little-endian int64: the first header word of
-#: every container file.  Distinct from the shared-memory transport's
-#: ``ARNA`` magic — a transport buffer is not a container and vice
-#: versa, and each decoder rejects the other's framing loudly.
+#: every container.
 _STORE_MAGIC = int.from_bytes(b"ARSTORE\x00", "little")
 
 #: Container format version this build writes and the newest it reads.
 #: A file stamped with a *larger* version is refused (typed error, not
 #: a guess): forward-compatible parsing of an unknown layout is exactly
 #: how silent corruption happens.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: Section payloads start on page boundaries.  4096 divides every
 #: common page size in use; alignment means an ``mmap`` view of a
@@ -92,20 +103,19 @@ STORE_VERSION = 1
 #: and evict sections independently when a corpus exceeds RAM.
 PAGE_ALIGN = 4096
 
-#: The framing header words (shared shape with the PR 9 arena
-#: transport): ``[magic, header_payload_bytes, crc32(header_payload)]``.
+#: The framing header words:
+#: ``[magic, header_payload_bytes, crc32(header_payload)]``.
 _FRAME_WORDS = 3
 _FRAME_BYTES = _FRAME_WORDS * 8
 
 #: Section kinds, in on-disk order.  The header's section table maps
-#: ``kind -> (offset, byte length, crc32)``.
+#: ``kind -> (offset, byte length, crc32)``.  Kinds 6 and 7 were
+#: version 1's instance maps.
 _SEC_VERTEX_OFFSET = 1
 _SEC_EDGE_OFFSET = 2
 _SEC_LENGTHS = 3
 _SEC_STARTS = 4
 _SEC_CELLS = 5
-_SEC_INSTANCE_OF_VERTEX = 6
-_SEC_INSTANCE_OF_EDGE = 7
 _SEC_WEIGHTS = 8
 _SECTION_ORDER = (
     _SEC_VERTEX_OFFSET,
@@ -113,8 +123,6 @@ _SECTION_ORDER = (
     _SEC_LENGTHS,
     _SEC_STARTS,
     _SEC_CELLS,
-    _SEC_INSTANCE_OF_VERTEX,
-    _SEC_INSTANCE_OF_EDGE,
     _SEC_WEIGHTS,
 )
 
@@ -164,16 +172,19 @@ def _encode_weights(weights) -> tuple[int, bytes]:
         for weight in weights
     ):
         return _WEIGHTS_INT64, _slab_bytes(weights)
-    # Exact text tokens: ``str(int)`` / ``str(Fraction)`` ("num/den"),
-    # the same canonical forms the ``.hg`` format uses — big ints and
-    # rationals round-trip exactly, and re-encoding a decoded weights
-    # tuple reproduces these bytes verbatim (byte-identical resave).
+    # Exact hex tokens ("num/den" for a fraction): big ints and
+    # rationals round-trip exactly, re-encoding a decoded weights tuple
+    # reproduces these bytes verbatim (byte-identical resave), and
+    # power-of-two bases are exempt from the int/str digit cap.
     return _WEIGHTS_TEXT, " ".join(
-        str(weight) for weight in weights
-    ).encode("utf-8")
+        f"{weight:x}"
+        if type(weight) is int
+        else f"{weight.numerator:x}/{weight.denominator:x}"
+        for weight in weights
+    ).encode("ascii")
 
 
-def _decode_weights(kind: int, raw: bytes, expected: int):
+def _decode_weights(kind: int, raw: bytes, expected: int, version: int):
     if kind == _WEIGHTS_INT64:
         if len(raw) != expected * 8:
             raise ArenaStoreError(
@@ -199,12 +210,15 @@ def _decode_weights(kind: int, raw: bytes, expected: int):
             f"weights section holds {len(tokens)} tokens, expected "
             f"{expected}"
         )
+    base = 10 if version == 1 else 16
     weights: list[int | Fraction] = []
     for token in tokens:
         try:
-            weights.append(
-                Fraction(token) if "/" in token else int(token)
-            )
+            if "/" in token:
+                num, den = token.split("/")
+                weights.append(Fraction(int(num, base), int(den, base)))
+            else:
+                weights.append(int(token, base))
         except (ValueError, ZeroDivisionError) as error:
             raise ArenaStoreError(
                 f"malformed weight token {token!r} in weights section"
@@ -212,50 +226,28 @@ def _decode_weights(kind: int, raw: bytes, expected: int):
     return tuple(weights)
 
 
-def save_arena(arena: BatchArena, path) -> int:
-    """Write ``arena`` to ``path`` as one container file.
+def encode_arena(arena: BatchArena) -> bytes:
+    """``arena`` as one container: the only binary form of an arena.
 
-    Returns the number of bytes written.  The write is atomic (temp
-    file + rename in the destination directory), so a crashed or
-    interrupted save can never leave a half-written container under
-    the final name — a partially copied one fails its CRCs instead.
-    The output is deterministic: saving an equal arena produces
-    byte-identical files.
+    The same bytes go to disk (:func:`save_arena`) and to a worker
+    process (:func:`repro.core.parallel.ship_arena`).  The encoding is
+    deterministic: equal arenas encode to identical bytes.
     """
-    path = Path(path)
-    section_payloads: list[tuple[int, bytes]] = []
-    for kind in _SECTION_ORDER:
-        if kind == _SEC_VERTEX_OFFSET:
-            raw = _slab_bytes(arena.vertex_offset)
-        elif kind == _SEC_EDGE_OFFSET:
-            raw = _slab_bytes(arena.edge_offset)
-        elif kind == _SEC_LENGTHS:
-            raw = _slab_bytes(arena.membership.lengths)
-        elif kind == _SEC_STARTS:
-            raw = _slab_bytes(arena.membership.starts)
-        elif kind == _SEC_CELLS:
-            raw = _slab_bytes(arena.membership.cells)
-        elif kind == _SEC_INSTANCE_OF_VERTEX:
-            raw = _slab_bytes(arena.instance_of_vertex)
-        elif kind == _SEC_INSTANCE_OF_EDGE:
-            raw = _slab_bytes(arena.instance_of_edge)
-        else:
-            weights_kind, raw = _encode_weights(arena.weights)
-        section_payloads.append((kind, raw))
-
-    # Lay the sections out page-aligned after the (yet unsized) header.
-    # The header size depends only on the section count, so size it
-    # first, then assign aligned offsets.
-    header_payload_words = 7 + 4 * len(section_payloads)
-    header_bytes = _FRAME_BYTES + header_payload_words * 8
-    table: list[tuple[int, int, int, int]] = []
-    cursor = _align_up(header_bytes)
-    for kind, raw in section_payloads:
-        table.append((kind, cursor, len(raw), zlib.crc32(raw)))
-        cursor = _align_up(cursor + len(raw))
-
+    weights_kind, weights_raw = _encode_weights(arena.weights)
+    membership = arena.membership
+    sections = (
+        (_SEC_VERTEX_OFFSET, _slab_bytes(arena.vertex_offset)),
+        (_SEC_EDGE_OFFSET, _slab_bytes(arena.edge_offset)),
+        (_SEC_LENGTHS, _slab_bytes(membership.lengths)),
+        (_SEC_STARTS, _slab_bytes(membership.starts)),
+        (_SEC_CELLS, _slab_bytes(membership.cells)),
+        (_SEC_WEIGHTS, weights_raw),
+    )
+    # Lay the sections out page-aligned after the header, whose size
+    # depends only on the section count.
+    header_bytes = _FRAME_BYTES + (7 + 4 * len(sections)) * 8
     total_cells = (
-        int(arena.membership.lengths[-1]) + int(arena.membership.starts[-1])
+        int(membership.lengths[-1]) + int(membership.starts[-1])
         if arena.total_edges
         else 0
     )
@@ -268,32 +260,38 @@ def save_arena(arena: BatchArena, path) -> int:
             arena.total_edges,
             total_cells,
             weights_kind,
-            len(section_payloads),
+            len(sections),
         ],
     )
-    for entry in table:
-        header_payload.extend(entry)
-    payload_bytes = header_payload.tobytes()
-    frame = array(
-        "q", [_STORE_MAGIC, len(payload_bytes), zlib.crc32(payload_bytes)]
-    )
+    body: list[bytes] = []
+    cursor = header_bytes
+    for kind, raw in sections:
+        offset = _align_up(cursor)
+        header_payload.extend((kind, offset, len(raw), zlib.crc32(raw)))
+        body += (b"\x00" * (offset - cursor), raw)
+        cursor = offset + len(raw)
+    payload = header_payload.tobytes()
+    frame = array("q", [_STORE_MAGIC, len(payload), zlib.crc32(payload)])
+    return b"".join([frame.tobytes(), payload, *body])
 
+
+def save_arena(arena: BatchArena, path) -> int:
+    """Write ``arena`` to ``path`` as one :func:`encode_arena` container.
+
+    Returns the number of bytes written.  The write is atomic (temp
+    file + fsync + rename in the destination directory), so a crashed
+    or interrupted save can never leave a half-written container under
+    the final name — a partially copied one fails its CRCs instead.
+    """
+    path = Path(path)
+    data = encode_arena(arena)
     temp = path.with_name(path.name + ".tmp")
     with open(temp, "wb") as handle:
-        handle.write(frame.tobytes())
-        handle.write(payload_bytes)
-        position = header_bytes
-        for (kind, offset, length, _), (_, raw) in zip(
-            table, section_payloads
-        ):
-            handle.write(b"\x00" * (offset - position))
-            handle.write(raw)
-            position = offset + length
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
-        written = handle.tell()
     os.replace(temp, path)
-    return written
+    return len(data)
 
 
 def _align_up(offset: int) -> int:
@@ -301,33 +299,45 @@ def _align_up(offset: int) -> int:
 
 
 def _read_int64(buffer, offset: int, count: int):
-    """``count`` native int64 words at ``offset`` (numpy view or array)."""
+    """``count`` native int64 words at ``offset``: an ``int64`` view
+    over ``buffer`` with numpy, else a tuple of ints."""
     if _np is not None:
         return _np.frombuffer(
             buffer, dtype=_np.int64, count=count, offset=offset
         )
     words = array("q")
-    words.frombytes(bytes(buffer[offset : offset + count * 8]))
-    return words
+    words.frombytes(buffer[offset : offset + count * 8])
+    return tuple(words)
+
+
+def decode_arena(buffer) -> BatchArena:
+    """Rebuild a :class:`BatchArena` from :func:`encode_arena` bytes.
+
+    ``buffer`` is any bytes-like object; with numpy the membership
+    slabs come back as ``int64`` views over it (so it must not change
+    while the arena lives — a worker decodes its own copy of a shipped
+    shard, never a shared mapping), without numpy as tuples.  Every
+    section's CRC32 and the structural invariants (offsets monotone,
+    lengths/starts consistent, cells in range) are checked before any
+    view escapes, so a damaged buffer raises a typed
+    :class:`~repro.exceptions.ArenaStoreError` — never a wrong answer,
+    never an out-of-bounds read inside a kernel sweep.
+    :func:`load_arena` decodes files with this same code.
+    """
+    return _decode(buffer, "arena buffer", True)
 
 
 def load_arena(path, *, mmap: bool = False, verify: bool = True) -> BatchArena:
     """Rebuild a :class:`BatchArena` from a :func:`save_arena` container.
 
-    ``mmap=True`` maps the file read-only and returns the structural
-    slabs (membership ``lengths``/``starts``/``cells`` and the instance
-    maps) as ``int64`` numpy views **over the mapped buffer** — no
-    copies; the kernel-lane executors consume them as-is and the OS
-    pages the file in on demand.  Without numpy the flag degrades to an
-    ordinary read (tuples; documented, tested, still exact).
-
-    ``verify=True`` (the default) checks every section's CRC32 and the
-    structural invariants (offsets monotone, lengths/starts consistent,
-    cells in range) before any view escapes, so a damaged file raises
-    a typed :class:`~repro.exceptions.ArenaStoreError` — never a wrong
-    answer, never an out-of-bounds read inside a kernel sweep.  CRC
-    verification of a mapped file touches each page once but copies
-    nothing.
+    The file is decoded by :func:`decode_arena`'s code; ``verify=False``
+    skips its CRC and structure checks.  ``mmap=True`` maps the file read-only, so the
+    membership slabs are ``int64`` views **over the mapped buffer** —
+    no copies; the kernel-lane executors consume them as-is and the OS
+    pages the file in on demand.  A copying load reads the file once
+    and views its bytes the same way.  Without numpy both load tuples
+    (documented, tested, still exact).  CRC verification of a mapped
+    file touches each page once but copies nothing.
 
     Raises :class:`~repro.exceptions.ArenaStoreError` on any integrity
     failure and ``OSError`` if the file cannot be opened at all.
@@ -338,18 +348,19 @@ def load_arena(path, *, mmap: bool = False, verify: bool = True) -> BatchArena:
         import mmap as _mmap
 
         with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            if size == 0:
+            if os.fstat(handle.fileno()).st_size == 0:
                 raise ArenaStoreError(f"{path} is empty, not a container")
             mapped = _mmap.mmap(
                 handle.fileno(), 0, access=_mmap.ACCESS_READ
             )
         buffer = mapped
     else:
-        buffer = Path(path).read_bytes()
-        size = len(buffer)
+        buffer = path.read_bytes()
+    source = ArenaSource(
+        path=str(path), mmapped=mapped is not None, buffer=mapped
+    )
     try:
-        return _decode_container(path, buffer, size, mapped, verify)
+        return _decode(buffer, path, verify, source)
     except ArenaStoreError:
         if mapped is not None:
             try:
@@ -359,51 +370,53 @@ def load_arena(path, *, mmap: bool = False, verify: bool = True) -> BatchArena:
         raise
 
 
-def _decode_container(path, buffer, size, mapped, verify) -> BatchArena:
+def _decode(buffer, label, verify, source=None) -> BatchArena:
     # A memoryview slice of an mmap is zero-copy (a bare mmap slice is
     # not): CRC sweeps and frombuffer reads go through the view so
-    # verification touches pages without duplicating them.
-    buffer = memoryview(buffer)
+    # verification touches pages without duplicating them.  Offsets
+    # below are byte offsets, whatever the caller's item format.
+    buffer = memoryview(buffer).cast("B")
+    size = buffer.nbytes
     if size < _FRAME_BYTES:
         raise ArenaStoreError(
-            f"{path}: {size} bytes is shorter than the "
+            f"{label}: {size} bytes is shorter than the "
             f"{_FRAME_BYTES}-byte container frame"
         )
     frame = array("q")
-    frame.frombytes(bytes(buffer[:_FRAME_BYTES]))
+    frame.frombytes(buffer[:_FRAME_BYTES])
     magic, payload_length, checksum = frame
     if magic != _STORE_MAGIC:
         raise ArenaStoreError(
-            f"{path}: not an arena container (magic {magic:#x} != "
+            f"{label}: not an arena container (magic {magic:#x} != "
             f"{_STORE_MAGIC:#x})"
         )
     if payload_length < 0 or _FRAME_BYTES + payload_length > size:
         raise ArenaStoreError(
-            f"{path}: truncated container header (frame claims "
-            f"{payload_length} header bytes, file has "
-            f"{size - _FRAME_BYTES} after the frame)"
+            f"{label}: truncated container header (frame claims "
+            f"{payload_length} header bytes, {size - _FRAME_BYTES} "
+            f"follow the frame)"
         )
     payload_raw = bytes(
         buffer[_FRAME_BYTES : _FRAME_BYTES + payload_length]
     )
     if zlib.crc32(payload_raw) != checksum:
         raise ArenaStoreError(
-            f"{path}: container header failed its checksum"
+            f"{label}: container header failed its checksum"
         )
     header = array("q")
     header.frombytes(payload_raw)
     if len(header) < 7:
-        raise ArenaStoreError(f"{path}: container header too short")
+        raise ArenaStoreError(f"{label}: container header too short")
     version = header[0]
     if version > STORE_VERSION:
         raise ArenaStoreError(
-            f"{path}: container version {version} is newer than this "
+            f"{label}: container version {version} is newer than this "
             f"build understands (<= {STORE_VERSION}); refusing to guess "
             f"at its layout"
         )
     if version < 1:
         raise ArenaStoreError(
-            f"{path}: invalid container version {version}"
+            f"{label}: invalid container version {version}"
         )
     (
         num_instances,
@@ -414,138 +427,118 @@ def _decode_container(path, buffer, size, mapped, verify) -> BatchArena:
         num_sections,
     ) = header[1:7]
     if num_instances < 0 or min(total_vertices, total_edges, total_cells) < 0:
-        raise ArenaStoreError(f"{path}: negative sizes in header")
+        raise ArenaStoreError(f"{label}: negative sizes in header")
     if len(header) != 7 + 4 * num_sections:
         raise ArenaStoreError(
-            f"{path}: header claims {num_sections} sections but the "
+            f"{label}: header claims {num_sections} sections but the "
             f"table holds {(len(header) - 7) // 4}"
         )
-    table: dict[int, tuple[int, int, int]] = {}
+    # Every section in the table is bounds- and CRC-checked, including
+    # the instance maps a version-1 container carries, which are
+    # derivable from the offsets and never read.
+    table: dict[int, tuple[int, int]] = {}
     for position in range(num_sections):
         kind, offset, length, crc = header[
             7 + 4 * position : 11 + 4 * position
         ]
         if kind in table:
             raise ArenaStoreError(
-                f"{path}: duplicate section kind {kind}"
+                f"{label}: duplicate section kind {kind}"
             )
         if offset < _FRAME_BYTES or length < 0 or offset + length > size:
             raise ArenaStoreError(
-                f"{path}: section {kind} [{offset}, {offset + length}) "
-                f"falls outside the {size}-byte file — truncated or "
-                f"rewritten container"
+                f"{label}: section {kind} [{offset}, {offset + length}) "
+                f"falls outside the {size}-byte container — truncated "
+                f"or rewritten"
             )
         if verify and zlib.crc32(buffer[offset : offset + length]) != crc:
             raise ArenaStoreError(
-                f"{path}: section {kind} failed its checksum — the "
-                f"container was damaged on disk"
+                f"{label}: section {kind} failed its checksum — the "
+                f"container was damaged"
             )
-        table[kind] = (offset, length, crc)
+        table[kind] = (offset, length)
     for kind in _SECTION_ORDER:
         if kind not in table:
-            raise ArenaStoreError(f"{path}: missing section {kind}")
+            raise ArenaStoreError(f"{label}: missing section {kind}")
 
     def int64_section(kind: int, expected_words: int):
-        offset, length, _ = table[kind]
+        offset, length = table[kind]
         if length != expected_words * 8:
             raise ArenaStoreError(
-                f"{path}: section {kind} holds {length} bytes, "
+                f"{label}: section {kind} holds {length} bytes, "
                 f"expected {expected_words * 8}"
             )
         return _read_int64(buffer, offset, expected_words)
 
-    vertex_offset = tuple(
-        _to_int_list(int64_section(_SEC_VERTEX_OFFSET, num_instances + 1))
+    vertex_offset = _as_tuple(
+        int64_section(_SEC_VERTEX_OFFSET, num_instances + 1)
     )
-    edge_offset = tuple(
-        _to_int_list(int64_section(_SEC_EDGE_OFFSET, num_instances + 1))
-    )
+    edge_offset = _as_tuple(int64_section(_SEC_EDGE_OFFSET, num_instances + 1))
     lengths = int64_section(_SEC_LENGTHS, total_edges)
     starts = int64_section(_SEC_STARTS, total_edges)
     cells = int64_section(_SEC_CELLS, total_cells)
-    instance_of_vertex = int64_section(
-        _SEC_INSTANCE_OF_VERTEX, total_vertices
-    )
-    instance_of_edge = int64_section(_SEC_INSTANCE_OF_EDGE, total_edges)
-    weights_offset, weights_length, _ = table[_SEC_WEIGHTS]
+    weights_offset, weights_length = table[_SEC_WEIGHTS]
     weights = _decode_weights(
         weights_kind,
         bytes(buffer[weights_offset : weights_offset + weights_length]),
         total_vertices,
+        version,
     )
     if verify:
         _check_structure(
-            path,
+            label,
             vertex_offset,
             edge_offset,
             lengths,
             starts,
             cells,
             total_vertices,
+            total_edges,
             total_cells,
         )
-    if _np is None or not (mapped is not None):
-        # Copying load (or numpy-less build): plain tuples, the same
-        # shape pack_arena produces.
-        lengths = tuple(_to_int_list(lengths))
-        starts = tuple(_to_int_list(starts))
-        cells = tuple(_to_int_list(cells))
-        instance_of_vertex = tuple(_to_int_list(instance_of_vertex))
-        instance_of_edge = tuple(_to_int_list(instance_of_edge))
     return BatchArena(
         num_instances=int(num_instances),
         vertex_offset=vertex_offset,
         edge_offset=edge_offset,
         weights=weights,
         membership=CSRLayout(lengths=lengths, starts=starts, cells=cells),
-        instance_of_vertex=instance_of_vertex,
-        instance_of_edge=instance_of_edge,
-        source=ArenaSource(
-            path=str(path),
-            mmapped=mapped is not None,
-            buffer=mapped,
-        ),
+        source=source,
     )
 
 
-def _to_int_list(words) -> list[int]:
-    """Native words as a list of plain Python ints."""
-    if _np is not None and isinstance(words, _np.ndarray):
-        return words.tolist()
-    return list(words)
-
-
 def _check_structure(
-    path,
+    label,
     vertex_offset,
     edge_offset,
     lengths,
     starts,
     cells,
     total_vertices,
+    total_edges,
     total_cells,
 ) -> None:
     """Structural invariants a CRC cannot cover (wrong-but-consistent
-    bytes): offset tables monotone from 0, ``starts`` the exclusive
-    prefix sum of ``lengths`` summing to the cell count, and every
-    membership cell a valid global vertex id.  A file violating any of
-    these would index out of bounds inside the kernel sweeps."""
-    for name, offsets in (
-        ("vertex_offset", vertex_offset),
-        ("edge_offset", edge_offset),
+    bytes): offset tables monotone from 0 and ending at the header's
+    totals, ``starts`` the exclusive prefix sum of ``lengths`` summing
+    to the cell count, and every membership cell a valid global vertex
+    id.  A container violating any of these would index out of bounds
+    inside the kernel sweeps."""
+    for name, offsets, total in (
+        ("vertex_offset", vertex_offset, total_vertices),
+        ("edge_offset", edge_offset, total_edges),
     ):
         if offsets[0] != 0 or any(
             later < earlier
             for earlier, later in zip(offsets, offsets[1:])
         ):
             raise ArenaStoreError(
-                f"{path}: {name} table is not a monotone prefix from 0"
+                f"{label}: {name} table is not a monotone prefix from 0"
             )
-    if vertex_offset[-1] != total_vertices:
-        raise ArenaStoreError(
-            f"{path}: vertex_offset ends at {vertex_offset[-1]}, header "
-            f"claims {total_vertices} vertices"
-        )
+        if offsets[-1] != total:
+            raise ArenaStoreError(
+                f"{label}: {name} ends at {offsets[-1]}, header claims "
+                f"{total}"
+            )
     if _np is not None and isinstance(lengths, _np.ndarray):
         expected_starts = _np.zeros(len(lengths), dtype=_np.int64)
         _np.cumsum(lengths[:-1], out=expected_starts[1:])
@@ -566,11 +559,11 @@ def _check_structure(
         )
     if not consistent:
         raise ArenaStoreError(
-            f"{path}: membership lengths/starts are inconsistent with "
+            f"{label}: membership lengths/starts are inconsistent with "
             f"the header's cell count"
         )
     if not cells_ok:
         raise ArenaStoreError(
-            f"{path}: membership cells reference vertices outside "
+            f"{label}: membership cells reference vertices outside "
             f"0..{total_vertices - 1}"
         )

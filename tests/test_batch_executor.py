@@ -310,8 +310,16 @@ def test_pack_arena_offsets_and_cells():
     assert arena.membership.segment(0) == (0, 1)
     assert arena.membership.segment(2) == (3, 4)  # offset by 3 vertices
     assert arena.membership.segment(3) == (5,)
-    assert arena.instance_of_vertex == (0, 0, 0, 1, 1, 2)
-    assert arena.instance_of_edge == (0, 0, 1, 2)
+    if HAS_NUMPY:
+        # The owning instance of each global vertex and edge is derived
+        # from the offsets by the lane run.
+        config = AlgorithmConfig()
+        states = [batch_module.prepare_scaled_state(h, config) for h in batch]
+        run = kernels_module.LaneRun(
+            batch, states, config, ops=kernels_module.Int64Ops, limits=[0] * 3
+        )
+        assert run.inst_v.tolist() == [0, 0, 0, 1, 1, 2]
+        assert run.inst_e.tolist() == [0, 0, 1, 2]
     assert arena.vertex_slice(1) == slice(3, 5)
     assert arena.edge_slice(2) == slice(3, 4)
 

@@ -40,16 +40,15 @@ from repro.core.incremental import resolve_incremental, solve_state
 from repro.core.params import AlgorithmConfig
 from repro.core.solver import solve_mwhvc, solve_mwhvc_batch
 from repro.hypergraph import io as hg_io
-from repro.hypergraph.csr import (
-    arena_hypergraphs,
-    deserialize_arena,
-    pack_arena,
-    serialize_arena,
-    slice_arena,
-)
+from repro.hypergraph.csr import arena_hypergraphs, pack_arena, slice_arena
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.mutable import MutableHypergraph
-from repro.hypergraph.store import load_arena, save_arena
+from repro.hypergraph.store import (
+    decode_arena,
+    encode_arena,
+    load_arena,
+    save_arena,
+)
 
 from conftest import array_twin
 
@@ -316,6 +315,34 @@ def test_cli_serve_survives_non_integer_tokens(tmp_path, capsys, monkeypatch):
     assert f"{good}:" in captured.out
 
 
+def test_non_utf8_files_raise_typed_errors(tmp_path, capsys, monkeypatch):
+    """A file that is not UTF-8 is a bad instance or a bad catalog,
+    named with the offset of its first bad byte, never a traceback:
+    ``solve`` exits 2 and ``serve`` solves the paths after it."""
+    from repro.cli import main
+    from repro.exceptions import ArenaStoreError, InvalidInstanceError
+
+    bad = tmp_path / "bad.hg"
+    bad.write_bytes(b"p mwhvc 2 1\ne 0 1 \xff\n")
+    assert main(["solve", str(bad)]) == 2
+    message = f"{bad}: byte 18 is not valid UTF-8"
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    good = tmp_path / "good.hg"
+    hg_io.save(Hypergraph(3, [(0, 1), (1, 2)], [2, 1, 2]), good)
+    monkeypatch.setattr("sys.stdin", _io.StringIO(f"{bad}\n{good}\n"))
+    assert main(["serve", "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert f"{good}:" in captured.out
+    hif = tmp_path / "bad.json"
+    hif.write_bytes(b'{"nodes": [\xfe]}')
+    with pytest.raises(InvalidInstanceError, match="byte 11 is not valid"):
+        hg_io.load_hif(hif)
+    (tmp_path / "manifest.json").write_bytes(b'{"format": "\xff"}')
+    with pytest.raises(ArenaStoreError, match="byte 12 is not valid"):
+        ArenaCatalog(tmp_path)
+
+
 # ----------------------------------------------------------------------
 # Instance semantics
 # ----------------------------------------------------------------------
@@ -377,8 +404,8 @@ def test_one_packer_concatenates_instance_arrays():
         assert getattr(arrays.membership, name).tolist() == list(
             getattr(scalar.membership, name)
         )
-    assert arrays.instance_of_vertex.tolist() == list(scalar.instance_of_vertex)
-    assert arrays.instance_of_edge.tolist() == list(scalar.instance_of_edge)
+    assert arrays.vertex_offset == scalar.vertex_offset
+    assert arrays.edge_offset == scalar.edge_offset
     assert arrays.weights == scalar.weights
     assert arena_hypergraphs(arrays) == batch
 
@@ -398,7 +425,7 @@ def test_arenas_compare_by_value_whatever_their_slabs(tmp_path):
     assert not isinstance(after.membership.cells, tuple)
     assert after == before and before == after
     assert slice_arena(after, [2, 0]) == pack_arena([batch[2], batch[0]])
-    assert deserialize_arena(serialize_arena(after), after.weights) == before
+    assert decode_arena(encode_arena(after)) == before
     for mmap in (False, True):
         save_arena(after, tmp_path / "after.arena")
         assert load_arena(tmp_path / "after.arena", mmap=mmap) == before

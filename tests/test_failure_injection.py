@@ -240,49 +240,51 @@ class TestCoveringNetworkMap:
 
 class TestTransportInjection:
     def _arena_bytes(self):
-        from repro.hypergraph.csr import pack_arena, serialize_arena
+        from repro.hypergraph.csr import pack_arena
+        from repro.hypergraph.store import encode_arena
 
         arena = pack_arena([build_instance(), build_instance()])
-        return arena, serialize_arena(arena)
+        return arena, encode_arena(arena)
 
     def test_arena_roundtrip_is_exact(self):
-        from repro.hypergraph.csr import deserialize_arena
+        from repro.hypergraph.store import decode_arena
 
         arena, raw = self._arena_bytes()
-        rebuilt = deserialize_arena(raw, arena.weights)
+        rebuilt = decode_arena(raw)
         assert rebuilt.vertex_offset == arena.vertex_offset
         assert rebuilt.edge_offset == arena.edge_offset
-        assert rebuilt.membership.cells == arena.membership.cells
+        assert rebuilt == arena  # by value, whatever the slab type
 
     def test_truncated_arena_raises_typed_error(self):
-        from repro.exceptions import ArenaTransportError
-        from repro.hypergraph.csr import deserialize_arena
+        from repro.exceptions import ArenaStoreError
+        from repro.hypergraph.store import decode_arena
 
         arena, raw = self._arena_bytes()
         for cut in (0, 7, 23, len(raw) // 2, len(raw) - 1):
-            with pytest.raises(ArenaTransportError):
-                deserialize_arena(raw[:cut], arena.weights)
+            with pytest.raises(ArenaStoreError):
+                decode_arena(raw[:cut])
 
     def test_bitflipped_arena_raises_typed_error(self):
-        from repro.exceptions import ArenaTransportError
-        from repro.hypergraph.csr import deserialize_arena
+        from repro.exceptions import ArenaStoreError
+        from repro.hypergraph.store import decode_arena
 
         arena, raw = self._arena_bytes()
-        # Flip one byte in every region: magic, length, crc, payload.
+        # Flip one byte in every region: magic, length, crc, header,
+        # last section.
         for position in (0, 8, 16, 24, len(raw) - 1):
             damaged = bytearray(raw)
             damaged[position] ^= 0x5A
-            with pytest.raises(ArenaTransportError):
-                deserialize_arena(bytes(damaged), arena.weights)
+            with pytest.raises(ArenaStoreError):
+                decode_arena(bytes(damaged))
 
     def test_headerless_buffer_raises_typed_error(self):
-        from repro.exceptions import ArenaTransportError
-        from repro.hypergraph.csr import deserialize_arena
+        from repro.exceptions import ArenaStoreError
+        from repro.hypergraph.store import decode_arena
 
-        # A pre-header-era payload (no magic) must be refused, not
-        # misparsed with its first word as an instance count.
-        with pytest.raises(ArenaTransportError):
-            deserialize_arena(b"\x02" + b"\x00" * 63, ())
+        # A buffer without the container magic must be refused, not
+        # misparsed with its first word as a payload length.
+        with pytest.raises(ArenaStoreError):
+            decode_arena(b"\x02" + b"\x00" * 63)
 
     def test_malformed_worker_result_raises_typed_error(self):
         from repro.core.parallel import (

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 import zlib
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,7 +66,10 @@ from repro.hypergraph.generators import (
 )
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.store import (
+    STORE_VERSION,
     ArenaSource,
+    decode_arena,
+    encode_arena,
     load_arena,
     save_arena,
 )
@@ -157,6 +162,27 @@ def test_roundtrip_reconstructs_instances(tmp_path, mmap):
     )
 
 
+def test_weights_past_the_decimal_digit_cap_roundtrip(tmp_path):
+    """Weights wider than CPython's default 4300-digit int/str guard
+    save, load and resave byte-identically under that guard: the
+    weights section writes them as hex tokens."""
+    hypergraphs = [
+        Hypergraph(
+            3, [(0, 1), (1, 2)],
+            [2**20000, Fraction(2**20000 + 1, 3), 5],
+        ),
+    ]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for mmap in (False, True):
+            _, loaded, path = roundtrip(tmp_path, hypergraphs, mmap=mmap)
+            assert arena_hypergraphs(loaded) == hypergraphs
+            assert encode_arena(loaded) == path.read_bytes()
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 @needs_numpy
 def test_mmap_load_is_zero_copy(tmp_path):
     import numpy as np
@@ -170,11 +196,10 @@ def test_mmap_load_is_zero_copy(tmp_path):
         membership.lengths,
         membership.starts,
         membership.cells,
-        loaded.instance_of_vertex,
-        loaded.instance_of_edge,
     ):
         assert isinstance(slab, np.ndarray) and slab.dtype == np.int64
         assert np.shares_memory(mapped, slab)
+    assert not hasattr(loaded, "instance_of_vertex")
     # The lane executors ingest membership via asarray(..., int64):
     # on these views that conversion is the identity — no copy ever.
     assert np.asarray(membership.cells, dtype=np.int64) is membership.cells
@@ -417,35 +442,127 @@ def test_every_corruption_mode_raises_typed_error(tmp_path, mmap):
         assert isinstance(excinfo.value, TransportError), label
 
 
-def test_wrong_but_checksummed_structure_is_refused(tmp_path):
-    """A CRC-consistent file with impossible structure (cells pointing
-    outside the vertex range) must still be refused — that is what
-    stands between a crafted container and an out-of-bounds sweep."""
-    arena = pack_arena([Hypergraph(3, [(0, 1), (1, 2)], [1, 2, 3])])
-    path = tmp_path / "evil.arena"
-    save_arena(arena, path)
-    raw = bytearray(path.read_bytes())
+def _section_table(raw: bytes) -> dict[int, tuple[int, int, int]]:
+    """``kind -> (table entry, offset, length)`` of a container."""
     header_payload_length = struct.unpack_from("<q", raw, 8)[0]
-    header = list(
-        struct.unpack_from(
-            f"<{header_payload_length // 8}q", raw, 24
-        )
-    )
-    sections = {
-        header[7 + 4 * i]: tuple(header[8 + 4 * i : 11 + 4 * i])
-        for i in range((len(header) - 7) // 4)
+    header = struct.unpack_from(f"<{header_payload_length // 8}q", raw, 24)
+    return {
+        header[7 + 4 * entry]: (entry, *header[8 + 4 * entry : 10 + 4 * entry])
+        for entry in range((len(header) - 7) // 4)
     }
-    cells_offset, cells_length, _ = sections[5]
-    struct.pack_into("<q", raw, cells_offset, 10**6)  # out-of-range cell
-    # Recompute the section CRC so only the *structure* is wrong.
-    new_crc = zlib.crc32(bytes(raw[cells_offset : cells_offset + cells_length]))
-    for i in range((len(header) - 7) // 4):
-        if header[7 + 4 * i] == 5:
-            struct.pack_into("<q", raw, 24 + (10 + 4 * i) * 8, new_crc)
-    path.write_bytes(bytes(raw))
-    for mmap in (False, True):
-        with pytest.raises(ArenaStoreError):
-            load_arena(path, mmap=mmap)
+
+
+def _rewrite_section(raw: bytes, kind: int, patch) -> bytes:
+    """``raw`` with section ``kind`` rewritten in place by
+    ``patch(bytearray)`` and its CRC and the header's recomputed, so
+    only the section's content is wrong."""
+    entry, offset, length = _section_table(raw)[kind]
+    raw = bytearray(raw)
+    body = bytearray(raw[offset : offset + length])
+    patch(body)
+    raw[offset : offset + length] = body
+    struct.pack_into("<q", raw, 24 + (10 + 4 * entry) * 8, zlib.crc32(body))
+    header_payload_length = struct.unpack_from("<q", raw, 8)[0]
+    struct.pack_into(
+        "<q", raw, 16,
+        zlib.crc32(bytes(raw[24 : 24 + header_payload_length])),
+    )
+    return bytes(raw)
+
+
+def test_wrong_but_checksummed_structure_is_refused(tmp_path):
+    """A CRC-consistent container with impossible structure (cells
+    pointing outside the vertex range, an edge table ending short of
+    the header's edge count, a weights section too short for the
+    vertices) must still be refused — that is what stands between a
+    crafted container and an out-of-bounds sweep."""
+    arena = pack_arena([Hypergraph(3, [(0, 1), (1, 2)], [1, 2, 3])])
+    raw = encode_arena(arena)
+    crafted = {
+        "cells": _rewrite_section(
+            raw, 5, lambda body: struct.pack_into("<q", body, 0, 10**6)
+        ),
+        "edge_offset": _rewrite_section(
+            raw, 2, lambda body: struct.pack_into("<q", body, 8, 1)
+        ),
+        "int64 weights": encode_arena(replace(arena, weights=(1, 2))),
+        "text weights": encode_arena(
+            replace(arena, weights=(Fraction(1, 2), 2))
+        ),
+    }
+    path = tmp_path / "evil.arena"
+    for label, damaged in crafted.items():
+        path.write_bytes(damaged)
+        for mmap in (False, True):
+            with pytest.raises(ArenaStoreError, match="cells|ends at|holds"):
+                load_arena(path, mmap=mmap)
+        with pytest.raises(ArenaStoreError, match="cells|ends at|holds"):
+            decode_arena(damaged)
+
+
+#: The instances each version-1 container under ``fixtures/`` holds;
+#: a version-1 ``save_arena`` wrote the files from these instances.
+FIXTURES = Path(__file__).parent / "fixtures"
+V1_BATCHES = {
+    "store-v1-int64.arena": lambda: [
+        hg_io.load(FIXTURES / name)
+        for name in ("path9.hg", "star12.hg", "regular24.hg")
+    ],
+    "store-v1-text.arena": lambda: [
+        Hypergraph(
+            4,
+            [(0, 1), (1, 2, 3), (0, 3)],
+            [Fraction(3, 2), 2**70, 5, Fraction(7, 3)],
+        ),
+        Hypergraph(3, [(0, 1), (1, 2)], [1, 2**64 + 1, 3]),
+    ],
+}
+
+
+@pytest.mark.parametrize("mmap", [False, True])
+def test_version1_containers_solve_bit_identically(tmp_path, mmap):
+    """Version-1 containers still load.  Their instance-map sections
+    (kinds 6 and 7) are CRC-checked and never read, so a container
+    whose vertex map was rewritten to zeros, CRCs recomputed, solves
+    exactly like the in-memory instances too."""
+    def zeros(body):
+        body[:] = bytes(len(body))
+
+    containers = {name: (FIXTURES / name).read_bytes() for name in V1_BATCHES}
+    int64_raw = containers["store-v1-int64.arena"]
+    containers["wrong-map.arena"] = _rewrite_section(int64_raw, 6, zeros)
+    for name, raw in containers.items():
+        assert struct.unpack_from("<q", raw, 24)[0] == 1, name
+        batch = V1_BATCHES.get(name, V1_BATCHES["store-v1-int64.arena"])()
+        path = tmp_path / name
+        path.write_bytes(raw)
+        loaded = load_arena(path, mmap=mmap)
+        assert loaded == pack_arena(batch)
+        instances = arena_hypergraphs(loaded)
+        assert instances == batch
+        assert_same_results(
+            run_fastpath_batch(instances, arena=loaded),
+            run_fastpath_batch(batch),
+        )
+        # Resaving writes the current version, which loads back equal.
+        save_arena(loaded, tmp_path / "resaved.arena")
+        assert load_arena(tmp_path / "resaved.arena") == loaded
+    # The ignored sections are still covered by their CRCs.
+    damaged = bytearray(int64_raw)
+    damaged[_section_table(int64_raw)[6][1]] ^= 1
+    with pytest.raises(ArenaStoreError, match="section 6 failed"):
+        decode_arena(bytes(damaged))
+    # A version newer than this build's is refused, not guessed at.
+    assert STORE_VERSION == 2
+    future = bytearray(int64_raw)
+    struct.pack_into("<q", future, 24, STORE_VERSION + 1)
+    header_payload_length = struct.unpack_from("<q", future, 8)[0]
+    struct.pack_into(
+        "<q", future, 16,
+        zlib.crc32(bytes(future[24 : 24 + header_payload_length])),
+    )
+    with pytest.raises(ArenaStoreError, match="version 3"):
+        decode_arena(bytes(future))
 
 
 def test_verify_false_skips_crc_but_not_frame(tmp_path):
@@ -589,7 +706,7 @@ def test_store_backed_arena_ships_by_file_reference(tmp_path):
         block.unlink()
     payload, block = shard_payload(loaded, 0, AlgorithmConfig(), True)
     assert payload["transport"][0] == "file"
-    assert payload["weights"] is None and block is None
+    assert "weights" not in payload and block is None
     # The worker entry point maps the container and solves identically.
     shard, encoded, observed, faulted = _solve_shard(payload)
     assert shard == 0 and len(encoded) == len(hypergraphs)
