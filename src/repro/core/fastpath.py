@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 from repro.core import kernels
@@ -63,7 +64,7 @@ from repro.core.lockstep import (
 )
 from repro.core.numeric import exact_scaled_int, scaled_fraction
 from repro.core.observer import IterationObserver, IterationSnapshot
-from repro.core.params import AlgorithmConfig, resolve_alpha, theorem9_alpha
+from repro.core.params import AlgorithmConfig, resolve_alpha
 from repro.core.result import AlgorithmStats, CoverResult
 from repro.core.state import SolveState
 from repro.core.runner import finalize_result
@@ -121,11 +122,15 @@ def machine_rungs(lane: str) -> tuple[str, ...]:
 class ScaledState:
     """Iteration-0 output of the scaled fixed-point representation.
 
-    Everything a fastpath-style executor needs to start iterating: the
-    per-edge alphas, the argmin pairs, the smallest global ``scale``
-    representing every initial bid (and its alpha-multiple) exactly,
-    and the initial bid/raised/delta arrays as integer numerators over
-    that scale.  Shared by :func:`run_fastpath` (one instance) and
+    Everything a fastpath-style executor needs to start iterating, each
+    fact once: ``alpha`` (one Fraction, as Theorem 9's depends only on
+    ``f``, ``Δ``, ``eps`` and ``gamma``; a per-edge list only under
+    the local policy), the smallest global ``scale`` representing every
+    initial bid and its alpha-multiple exactly, the initial bids as
+    integer numerators over that scale, and the per-vertex bid sums and
+    degrees.  The executors derive the raised bids (``bid * alpha``)
+    and starting duals (``bid``) when they set up.  Shared by
+    :func:`run_fastpath` (one instance) and
     :func:`repro.core.batch.run_fastpath_batch` (arena slices) so the
     two executors cannot diverge at initialization.
 
@@ -137,14 +142,9 @@ class ScaledState:
     must never reach the exact big-int arithmetic).
     """
 
-    alpha_list: list[Fraction]
-    alpha_num: list[int]
-    alpha_den: list[int]
-    argmins: list[tuple[int, int, int]]
+    alpha: Fraction | list[Fraction]
     scale: int
     bid: list[int]
-    raised: list[int]
-    delta: list[int]
     total_delta: list[int]  # or int64 ndarray (fused pass)
     degrees: list[int]  # or int64 ndarray (fused pass)
 
@@ -164,7 +164,7 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     pass builds degrees (``bincount``), per-edge argmins (a float64
     ratio prefilter with exact integer resolution of near-ties), the
     global scale (lcm over *unique* argmin profiles instead of all
-    ``m`` edges) and the initial bid/raised/total-delta arrays.  Every
+    ``m`` edges), the initial bids and the per-vertex bid sums.  Every
     arithmetic step is exact — the float ratios only *shortlist*
     argmin candidates (any cell within a relative band far wider than
     float64 error), and each shortlist of size > 1 is resolved with
@@ -201,22 +201,12 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     if local_policy:
         local_max = _np.maximum.reduceat(degrees_arr[cells], starts)
         by_degree = {
-            int(value): theorem9_alpha(
-                int(value),
-                config.effective_rank(rank),
-                config.epsilon,
-                config.gamma,
-            )
-            for value in _np.unique(local_max)
+            value: resolve_alpha(config, rank, max_degree, value)
+            for value in _np.unique(local_max).tolist()
         }
-        alpha_list = [by_degree[int(value)] for value in local_max]
-        alpha_num = [alpha.numerator for alpha in alpha_list]
-        alpha_den = [alpha.denominator for alpha in alpha_list]
+        alpha = [by_degree[value] for value in local_max.tolist()]
     else:
-        shared_alpha = resolve_alpha(config, rank, max_degree)
-        alpha_list = [shared_alpha] * m
-        alpha_num = [shared_alpha.numerator] * m
-        alpha_den = [shared_alpha.denominator] * m
+        alpha = resolve_alpha(config, rank, max_degree)
 
     # Argmin per edge: minimize w(v)/|E(v)|, ties by vertex id.  The
     # float64 ratio is only a shortlist (its relative error is ~2^-52,
@@ -253,9 +243,6 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
             argmin_v[position] = argmin_member(members, weights, degrees)[0]
     argmin_w = weights_arr[argmin_v]
     argmin_d = degrees_arr[argmin_v]
-    argmins = list(
-        zip(argmin_v.tolist(), argmin_w.tolist(), argmin_d.tolist())
-    )
 
     # Scale: identical lcm contributions as the scalar loop, computed
     # once per *unique* (w*, |E(v*)|[, alpha]) profile instead of per
@@ -265,28 +252,24 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     stride = max_degree + 1
     keys = argmin_w * stride + argmin_d
     if local_policy:
-        profiles = _np.unique(_np.stack([keys, local_max]), axis=1)
-        key_values = profiles[0]
-        key_alphas = [
-            by_degree[int(value)] for value in profiles[1]
-        ]
+        key_values, key_degrees = _np.unique(
+            _np.stack([keys, local_max]), axis=1
+        )
+        key_alphas = [by_degree[value] for value in key_degrees.tolist()]
     else:
         key_values = _np.unique(keys)
-        key_alphas = None
+        key_alphas = repeat(alpha)
     scale = 1
-    for column, key in enumerate(key_values.tolist()):
+    for key, edge_alpha in zip(key_values.tolist(), key_alphas):
         min_weight = key // stride
         bid_den = 2 * (key % stride)
-        alpha = key_alphas[column] if local_policy else alpha_list[0]
         scale = lcm(scale, bid_den // gcd(min_weight, bid_den))
-        raised_den = bid_den * alpha.denominator
-        raised_top = min_weight * alpha.numerator
+        raised_den = bid_den * edge_alpha.denominator
+        raised_top = min_weight * edge_alpha.numerator
         scale = lcm(scale, raised_den // gcd(raised_top, raised_den))
 
-    # Initial bids, raised bids and the per-vertex bid sums, vectorized
-    # while the products fit int64 (the scalar tail keeps exactness
-    # beyond).
-    bid_arr = None
+    # Initial bids and the per-vertex bid sums, vectorized while the
+    # products fit int64 (the scalar tail keeps exactness beyond).
     if max_weight * scale < _FUSED_INT64_LIMIT:
         numerators = argmin_w * scale
         bid_dens = 2 * argmin_d
@@ -296,42 +279,26 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
                 f"scale {scale} cannot represent every bid0 exactly"
             )
         bid = bid_arr.tolist()
-        max_bid = int(bid_arr.max())
-        if max_bid * max_degree < _FUSED_INT64_LIMIT:
-            total_arr = _np.zeros(n, dtype=_np.int64)
-            _np.add.at(total_arr, cells, bid_arr[edge_of_cell])
-            # Stays an int64 array: LaneRun concatenates these straight
-            # into its vertex-side slabs, and the scalar executor
-            # converts at its entry (see ``_scalar_state_lists``).
-            total_delta = total_arr
+        if int(bid_arr.max()) * max_degree < _FUSED_INT64_LIMIT:
+            total_delta = _np.zeros(n, dtype=_np.int64)
+            # Stays an int64 array: LaneRun concatenates it straight
+            # into its vertex-side slab, and the big-int loop converts
+            # at its entry.
+            _np.add.at(total_delta, cells, bid_arr[edge_of_cell])
         else:
             total_delta = hypergraph._vertex_sums(bid)
     else:
         bid = [
             initial_bid_scaled(min_weight, min_degree, scale)
-            for (_, min_weight, min_degree) in argmins
+            for min_weight, min_degree in zip(
+                argmin_w.tolist(), argmin_d.tolist()
+            )
         ]
         total_delta = hypergraph._vertex_sums(bid)
-    if (
-        bid_arr is not None
-        and not local_policy
-        and max_bid * alpha_num[0] < _FUSED_INT64_LIMIT
-    ):
-        raised = (bid_arr * alpha_num[0] // alpha_den[0]).tolist()
-    else:
-        raised = [
-            bid[edge_id] * alpha_num[edge_id] // alpha_den[edge_id]
-            for edge_id in range(m)
-        ]
     return ScaledState(
-        alpha_list=alpha_list,
-        alpha_num=alpha_num,
-        alpha_den=alpha_den,
-        argmins=argmins,
+        alpha=alpha,
         scale=scale,
         bid=bid,
-        raised=raised,
-        delta=list(bid),
         total_delta=total_delta,
         degrees=degrees_arr,
     )
@@ -340,7 +307,7 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
 def prepare_scaled_state(
     hypergraph: Hypergraph, config: AlgorithmConfig
 ) -> ScaledState:
-    """Run iteration 0 exactly: alphas, argmins, global scale, bids.
+    """Run iteration 0 exactly: alpha, global scale, bids, bid sums.
 
     The common all-integer-weights case runs as one fused vectorized
     pass (:func:`_fused_iteration0`); the scalar per-edge loop below
@@ -357,21 +324,18 @@ def prepare_scaled_state(
     weights = hypergraph.weights
     degrees = [hypergraph.degree(vertex) for vertex in range(n)]
 
+    max_degree = hypergraph.max_degree
     if config.alpha_policy == "local":
-        alpha_list = [
-            theorem9_alpha(
-                max(degrees[vertex] for vertex in members),
-                config.effective_rank(rank),
-                config.epsilon,
-                config.gamma,
+        alpha = [
+            resolve_alpha(
+                config, rank, max_degree, max(degrees[v] for v in members)
             )
             for members in edges
         ]
+        edge_alphas = alpha
     else:
-        shared_alpha = resolve_alpha(config, rank, hypergraph.max_degree)
-        alpha_list = [shared_alpha] * m
-    alpha_num = [alpha.numerator for alpha in alpha_list]
-    alpha_den = [alpha.denominator for alpha in alpha_list]
+        alpha = resolve_alpha(config, rank, max_degree)
+        edge_alphas = repeat(alpha, m)
 
     argmins = [argmin_member(members, weights, degrees) for members in edges]
 
@@ -383,27 +347,23 @@ def prepare_scaled_state(
         denominator = getattr(weight, "denominator", 1)
         if denominator > 1:
             scale = lcm(scale, denominator)
-    for edge_id, (_, min_weight, min_degree) in enumerate(argmins):
+    for (_, min_weight, min_degree), edge_alpha in zip(argmins, edge_alphas):
         if isinstance(min_weight, int):
             bid_den = 2 * min_degree
             scale = lcm(scale, bid_den // gcd(min_weight, bid_den))
-            raised_den = bid_den * alpha_den[edge_id]
-            raised_top = min_weight * alpha_num[edge_id]
+            raised_den = bid_den * edge_alpha.denominator
+            raised_top = min_weight * edge_alpha.numerator
             scale = lcm(scale, raised_den // gcd(raised_top, raised_den))
         else:
             # Rational argmin weight: let Fraction normalize the
             # denominators (identical lcm contributions as above).
             bid0 = initial_bid(min_weight, min_degree)
             scale = lcm(scale, bid0.denominator)
-            scale = lcm(scale, (bid0 * alpha_list[edge_id]).denominator)
+            scale = lcm(scale, (bid0 * edge_alpha).denominator)
 
     bid = [
         initial_bid_scaled(min_weight, min_degree, scale)
         for (_, min_weight, min_degree) in argmins
-    ]
-    raised = [
-        bid[edge_id] * alpha_num[edge_id] // alpha_den[edge_id]
-        for edge_id in range(m)
     ]
     total_delta = [0] * n
     for edge_id, members in enumerate(edges):
@@ -411,14 +371,9 @@ def prepare_scaled_state(
         for vertex in members:
             total_delta[vertex] += bid0
     return ScaledState(
-        alpha_list=alpha_list,
-        alpha_num=alpha_num,
-        alpha_den=alpha_den,
-        argmins=argmins,
+        alpha=alpha,
         scale=scale,
         bid=bid,
-        raised=raised,
-        delta=list(bid),
         total_delta=total_delta,
         degrees=degrees,
     )
@@ -493,7 +448,7 @@ def run_fastpath(
             dual=ScaledDual(1, ()),
             levels=(0,) * n,
             stats=AlgorithmStats.empty(level_cap=config.z(hypergraph.rank)),
-            alphas=[],
+            alpha=[],
             iterations=0,
             rounds=empty_instance_rounds(n),
             metrics=None,
@@ -512,7 +467,7 @@ def run_fastpath(
         )[0]
 
     # ------------------------------------------------------------------
-    # Iteration 0: alphas, argmins, the initial global scale and bids.
+    # Iteration 0: alpha, the initial global scale and bids.
     # ------------------------------------------------------------------
     if state is None:
         state = prepare_scaled_state(hypergraph, config)
@@ -547,7 +502,7 @@ def finalize_lane_instance(
         dual=ScaledDual(scale, delta),
         levels=tuple(raw["levels"]),
         stats=raw["stats"],
-        alphas=raw["alphas"],
+        alpha=raw["alpha"],
         iterations=raw["iterations"],
         rounds=raw["rounds"],
         metrics=None,
@@ -597,14 +552,20 @@ def _run_bigint(
     degrees = state.degrees
     if not isinstance(degrees, list):
         degrees = degrees.tolist()
-    alpha_list = state.alpha_list
-    alpha_num = state.alpha_num
-    alpha_den = state.alpha_den
+    alpha = state.alpha
+    if isinstance(alpha, Fraction):
+        alpha_pairs = [(alpha.numerator, alpha.denominator)] * m
+    else:
+        alpha_pairs = [(value.numerator, value.denominator) for value in alpha]
     if carry is None:
         scale = state.scale
         bid = state.bid
-        raised = state.raised
-        delta = state.delta
+        # Iteration 0's raised bids are ``alpha * bid`` (exact in the
+        # initial scale) and its duals the bids themselves.
+        raised = [
+            value * num // den for value, (num, den) in zip(bid, alpha_pairs)
+        ]
+        delta = list(bid)
         total_delta = state.total_delta
         if not isinstance(total_delta, list):
             total_delta = total_delta.tolist()
@@ -738,9 +699,7 @@ def _run_bigint(
         if raise_edge:
             raise_count[edge_id] += 1
             bid[edge_id] = raised[edge_id]
-            raised[edge_id] = alpha_times(
-                bid[edge_id], alpha_num[edge_id], alpha_den[edge_id]
-            )
+            raised[edge_id] = alpha_times(bid[edge_id], *alpha_pairs[edge_id])
         increment = bid[edge_id]
         if single:
             if increment & 1:
@@ -946,7 +905,7 @@ def _run_bigint(
         dual=ScaledDual(scale, delta),
         levels=tuple(level),
         stats=stats,
-        alphas=list(alpha_list),
+        alpha=alpha,
         iterations=iteration,
         rounds=max_halt_round,
         metrics=None,

@@ -107,6 +107,8 @@ def _components(
     """Connected components (vertex ids, edge ids — both sorted) plus
     the isolated vertices, deterministically ordered by smallest
     member vertex."""
+    incidence = hypergraph._ensure_incidence()
+    members_of = hypergraph.edges
     visited = [False] * hypergraph.num_vertices
     components: list[tuple[list[int], list[int]]] = []
     isolated: list[int] = []
@@ -114,7 +116,7 @@ def _components(
         if visited[start]:
             continue
         visited[start] = True
-        if not hypergraph.incident_edges(start):
+        if not incidence[start]:
             isolated.append(start)
             continue
         stack = [start]
@@ -123,11 +125,11 @@ def _components(
         while stack:
             vertex = stack.pop()
             vertices.append(vertex)
-            for edge_id in hypergraph.incident_edges(vertex):
+            for edge_id in incidence[vertex]:
                 if edge_id in edges:
                     continue
                 edges.add(edge_id)
-                for member in hypergraph.edge(edge_id):
+                for member in members_of[edge_id]:
                     if not visited[member]:
                         visited[member] = True
                         stack.append(member)

@@ -67,7 +67,7 @@ from math import log2
 
 from repro.core.lockstep import INIT_EXCHANGE_ROUNDS, phase_a_round
 from repro.core.numeric import exact_scaled_int
-from repro.core.params import AlgorithmConfig
+from repro.core.params import AlgorithmConfig, distinct_alphas
 from repro.core.result import AlgorithmStats
 from repro.core.state import SolveState
 from repro.core.vertex_logic import (
@@ -135,8 +135,8 @@ def headroom_factor(config: AlgorithmConfig, rank: int, state) -> int:
     ``alpha_num`` (raises) before shifting by at most ``z + 2`` bits;
     the coarse bound takes the max of the two.
     """
-    beta = config.beta(rank)
-    return max(beta.denominator, max(state.alpha_num, default=2))
+    numerators = [alpha.numerator for alpha in distinct_alphas(state.alpha)]
+    return max([config.beta(rank).denominator, *numerators])
 
 
 def scale_limit(
@@ -198,7 +198,7 @@ def lane_eligibility(
         return False, "single-increment mode uses the scalar executor"
     if config.check_invariants:
         return False, "checked runs use the scalar executor"
-    if any(den != 1 for den in state.alpha_den):
+    if any(alpha.denominator != 1 for alpha in distinct_alphas(state.alpha)):
         return False, "fractional alpha uses the scalar executor"
     rank = hypergraph.rank
     z = config.z(rank)
@@ -270,6 +270,10 @@ class Int64Ops:
     @staticmethod
     def from_list(values):
         return _np.array(values, dtype=_np.int64)
+
+    @staticmethod
+    def copy(value):
+        return value.copy()
 
     @staticmethod
     def tolist_slice(value, sl):
@@ -399,6 +403,10 @@ class LimbOps:
             values = [value >> LIMB_BITS for value in values]
         words.append(values)
         return tuple(_np.array(word, dtype=_np.int64) for word in words)
+
+    @staticmethod
+    def copy(value):
+        return tuple(word.copy() for word in value)
 
     @staticmethod
     def tolist_slice(value, sl):
@@ -662,7 +670,20 @@ class LaneRun:
         total_e = arena.total_edges
 
         int64 = _np.int64
+        instance_ids = _np.arange(self.count, dtype=int64)
+        edge_counts = _np.diff(_np.array(arena.edge_offset, dtype=int64))
+        self.inst_e = _np.repeat(instance_ids, edge_counts)
         # -- edge-side state ------------------------------------------
+        # Admitted alphas are integral (see lane_eligibility), so each
+        # numerator is its raise multiplier (one per edge under local).
+        self.alpha_num_e = _np.concatenate(
+            [
+                _np.full(count, state.alpha.numerator, dtype=int64)
+                if isinstance(state.alpha, Fraction)
+                else _np.array([a.numerator for a in state.alpha], dtype=int64)
+                for state, count in zip(states, edge_counts.tolist())
+            ]
+        )
         self.bid = ops.from_list(
             [
                 value
@@ -670,31 +691,13 @@ class LaneRun:
                 for value in (carry["bid"] if carry else state.bid)
             ]
         )
-        self.raised = ops.from_list(
-            [
-                value
-                for state, carry in zip(states, carries)
-                for value in (carry["raised"] if carry else state.raised)
-            ]
-        )
-        self.delta = ops.from_list(
-            [
-                value
-                for state, carry in zip(states, carries)
-                for value in (carry["delta"] if carry else state.delta)
-            ]
-        )
-        self.alpha_num_e = _np.array(
-            [num for state in states for num in state.alpha_num],
-            dtype=int64,
-        )
+        # Iteration 0's raised bids (exact, and charged by the headroom
+        # bound) and duals follow from the bids; carries load their own.
+        self.raised = ops.mul_int(self.bid, self.alpha_num_e)
+        self.delta = ops.copy(self.bid)
         self.covered = _np.zeros(total_e, dtype=bool)
         self.raise_count = _np.zeros(total_e, dtype=int64)
         self.halving_count = _np.zeros(total_e, dtype=int64)
-        instance_ids = _np.arange(self.count, dtype=int64)
-        self.inst_e = _np.repeat(
-            instance_ids, _np.diff(_np.array(arena.edge_offset, dtype=int64))
-        )
 
         # -- vertex-side state ----------------------------------------
         self.scales = [
@@ -817,14 +820,18 @@ class LaneRun:
         self.stuck = _np.zeros((total_v, z_max), dtype=int64)
 
         # -- carried (resumed) instances ------------------------------
-        # A carry replaces the bookkeeping slices with the spilled
-        # run's state at the start of the interrupted sweep; the value
+        # A carry replaces the raised bids, duals and bookkeeping slices
+        # with the spilled run's sweep-start state; the other value
         # arrays above were already loaded from it.
         for instance, carry in enumerate(carries):
             if carry is None:
                 continue
             vertex_slice = arena.vertex_slice(instance)
             edge_slice = arena.edge_slice(instance)
+            ops.scatter(
+                self.raised, edge_slice, ops.from_list(carry["raised"])
+            )
+            ops.scatter(self.delta, edge_slice, ops.from_list(carry["delta"]))
             self.level[vertex_slice] = carry["level"]
             self.in_cover[vertex_slice] = carry["in_cover"]
             self.dead[vertex_slice] = carry["dead"]
@@ -1441,7 +1448,7 @@ class LaneRun:
             "delta": self.ops.tolist_slice(self.delta, edge_slice),
             "levels": levels.tolist(),
             "stats": stats,
-            "alphas": list(self.states[instance].alpha_list),
+            "alpha": self.states[instance].alpha,
             "iterations": self.iterations[instance],
             "rounds": int(self.halt_round[instance]),
         }

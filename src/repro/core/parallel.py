@@ -139,9 +139,7 @@ def predicted_lane(hypergraph: Hypergraph, config: AlgorithmConfig) -> str:
         config, rank, hypergraph.max_degree, hypergraph.max_degree
     )
     probe = SimpleNamespace(
-        alpha_num=(alpha.numerator,),
-        alpha_den=(alpha.denominator,),
-        scale=2 * max(1, hypergraph.max_degree),
+        alpha=alpha, scale=2 * max(1, hypergraph.max_degree)
     )
     for lane in MACHINE_LANES:
         eligible, _ = lane_eligibility(hypergraph, config, probe, lane=lane)

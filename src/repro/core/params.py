@@ -28,6 +28,7 @@ __all__ = [
     "level_cap",
     "theorem9_alpha",
     "resolve_alpha",
+    "distinct_alphas",
 ]
 
 Schedule = Literal["spec", "compact"]
@@ -255,3 +256,13 @@ def resolve_alpha(
         config.epsilon,
         config.gamma,
     )
+
+
+def distinct_alphas(alpha) -> list[Fraction]:
+    """The distinct values of an instance's ``alpha``: one Fraction
+    under ``"theorem9"`` and ``"fixed"``, else one per edge (scanned as
+    ``(numerator, denominator)`` pairs, which hash faster)."""
+    if isinstance(alpha, Fraction):
+        return [alpha]
+    pairs = {(value.numerator, value.denominator) for value in alpha}
+    return [Fraction(num, den) for num, den in pairs]

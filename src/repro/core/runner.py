@@ -10,7 +10,7 @@ message objects for large sweeps.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from repro.congest.bipartite import build_covering_network
@@ -19,7 +19,7 @@ from repro.congest.metrics import RunMetrics
 from repro.congest.tracing import TraceRecorder
 from repro.core.edge_logic import EdgeCore
 from repro.core.nodes import EdgeProgram, VertexProgram
-from repro.core.params import AlgorithmConfig, resolve_alpha
+from repro.core.params import AlgorithmConfig, distinct_alphas, resolve_alpha
 from repro.core.result import AlgorithmStats, CoverResult
 from repro.core.vertex_logic import VertexCore
 from repro.exceptions import AlgorithmError, InvalidInstanceError
@@ -115,7 +115,7 @@ def finalize_result(
     dual: Mapping[int, Fraction],
     levels: tuple[int, ...],
     stats: AlgorithmStats,
-    alphas: list[Fraction],
+    alpha: Fraction | Sequence[Fraction],
     iterations: int,
     rounds: int,
     metrics: RunMetrics | None,
@@ -132,7 +132,9 @@ def finalize_result(
     :class:`~repro.lp.scaled.ScaledDual`.  ``dual_total`` lets
     scaled-integer executors pass the packing total they already hold
     as one numerator-over-scale pair instead of re-summing ``m``
-    Fractions.  ``lane`` records which arithmetic lane (int64 /
+    Fractions.  ``alpha`` is the instance's alpha as iteration 0 left
+    it (see :func:`~repro.core.params.distinct_alphas`): one Fraction,
+    or one per edge.  ``lane`` records which arithmetic lane (int64 /
     two-limb / three-limb / bigint) produced the raw values — metadata
     the scaled executors report for observability.
     """
@@ -144,22 +146,7 @@ def finalize_result(
         certificate = ApproximationCertificate.verify(
             hypergraph, cover, dual, max(1, hypergraph.rank), config.epsilon
         )
-    # Alphas are identical across edges except under the local policy;
-    # comparing distinct (numerator, denominator) pairs avoids m
-    # Fraction comparisons in the overwhelmingly common uniform case —
-    # and when every entry is literally the same object (the global
-    # policy builds the list as ``[alpha] * m``), one C-speed identity
-    # scan replaces m attribute lookups and tuple constructions.
-    if alphas and all(alpha is alphas[0] for alpha in alphas):
-        distinct = {(alphas[0].numerator, alphas[0].denominator)}
-    else:
-        distinct = {(alpha.numerator, alpha.denominator) for alpha in alphas}
-    if distinct:
-        span = [Fraction(num, den) for num, den in distinct]
-        alpha_min = min(span)
-        alpha_max = max(span)
-    else:
-        alpha_min = alpha_max = Fraction(2)
+    span = distinct_alphas(alpha) or [Fraction(2)]
     return CoverResult(
         cover=cover,
         weight=weight,
@@ -173,8 +160,8 @@ def finalize_result(
         levels=levels,
         stats=stats,
         metrics=metrics,
-        alpha_min=alpha_min,
-        alpha_max=alpha_max,
+        alpha_min=min(span),
+        alpha_max=max(span),
         lane=lane,
     )
 
@@ -228,7 +215,7 @@ def assemble_result(
         dual=dual,
         levels=levels,
         stats=stats,
-        alphas=[core.alpha for core in edge_cores],
+        alpha=[core.alpha for core in edge_cores],
         iterations=iterations,
         rounds=rounds,
         metrics=metrics,

@@ -111,6 +111,7 @@ from fractions import Fraction
 
 from repro.core.faults import FaultPlan
 from repro.core.params import AlgorithmConfig
+from repro.core.result import rational_for_json
 from repro.core.stream import BatchSession
 from repro.core.supervisor import SupervisorPolicy
 from repro.exceptions import (
@@ -191,15 +192,6 @@ def _lift_decimal_guard() -> None:
         sys.set_int_max_str_digits(_DIGIT_LIMIT)
 
 
-def _weight_for_json(weight) -> int | str:
-    if isinstance(weight, int):
-        return weight
-    weight = Fraction(weight)
-    if weight.denominator == 1:
-        return weight.numerator
-    return str(weight)
-
-
 def instance_payload(hypergraph: Hypergraph) -> dict:
     """The wire form of one instance (the ``solve`` verb's body).
 
@@ -214,7 +206,7 @@ def instance_payload(hypergraph: Hypergraph) -> dict:
     }
     if any(weight != 1 for weight in hypergraph.weights):
         payload["weights"] = [
-            _weight_for_json(weight) for weight in hypergraph.weights
+            rational_for_json(weight) for weight in hypergraph.weights
         ]
     return payload
 
@@ -1321,12 +1313,12 @@ class CoverClient:
             message["remove_edges"] = list(remove_edges)
         if set_weights:
             message["set_weights"] = [
-                [vertex, _weight_for_json(weight)]
+                [vertex, rational_for_json(weight)]
                 for vertex, weight in set_weights
             ]
         if add_vertices:
             message["add_vertices"] = [
-                _weight_for_json(weight) for weight in add_vertices
+                rational_for_json(weight) for weight in add_vertices
             ]
         if threshold is not None:
             message["threshold"] = threshold

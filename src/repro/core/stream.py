@@ -346,11 +346,6 @@ class BatchSession:
     policy:
         :class:`~repro.core.supervisor.SupervisorPolicy` bundling the
         solve-deadline, retry/backoff and circuit-breaker tunables.
-    supervise:
-        Arm the :class:`~repro.core.supervisor.WorkerSupervisor`
-        (per-shard solve deadlines, hung-worker kills).  On by
-        default; the monitor thread starts lazily with the first
-        dispatch.
     max_resident:
         Bound on resident warm-restart :class:`SolveState` handles
         (the ``submit_update`` cache).  Beyond it the least recently
@@ -374,7 +369,6 @@ class BatchSession:
         record_schedule: bool = True,
         fault_plan: FaultPlan | None = None,
         policy: SupervisorPolicy | None = None,
-        supervise: bool = True,
         max_resident: int | None = None,
     ):
         if max_batch < 1:
@@ -414,9 +408,7 @@ class BatchSession:
         self.fault_plan = fault_plan
         self._policy = policy or SupervisorPolicy()
         self._breaker = CircuitBreaker(self._policy)
-        self._supervisor = (
-            WorkerSupervisor(self._policy) if supervise else None
-        )
+        self._supervisor = WorkerSupervisor(self._policy)
         #: Scheduling counters (informational): sealed shards, steals,
         #: shard splits, worker crashes, deduplicated late results,
         #: plus the resilience ledger (retries, exhausted budgets,
@@ -489,10 +481,9 @@ class BatchSession:
             # the sentinel releases the idle orchestrator thread.
             self._updates.put(None)
             updater.join()
-        if self._supervisor is not None:
-            # After the drain nothing is in flight: stop the monitor
-            # and drop the heartbeat directory.
-            self._supervisor.close()
+        # After the drain nothing is in flight: stop the monitor and
+        # drop the heartbeat directory.
+        self._supervisor.close()
 
     def drain(self) -> None:
         """Block until every submitted instance has settled."""
@@ -1043,10 +1034,7 @@ class BatchSession:
                 shard.arena, shard.id, shard.config, self._verify,
                 fault=directive,
             )
-            if self._supervisor is not None:
-                payload["heartbeat"] = self._supervisor.heartbeat_path(
-                    shard.id
-                )
+            payload["heartbeat"] = self._supervisor.heartbeat_path(shard.id)
             ship = None
             if plan is not None and block is not None:
                 ship = plan.ship_fault()
@@ -1071,10 +1059,9 @@ class BatchSession:
             self._log("inject", shard.id, ("ship", ship))
             self._sabotage_block(block, ship)
         self._inflight[slot] = shard
-        if self._supervisor is not None:
-            self._supervisor.watch(
-                slot, shard.id, pool, self._predicted_seconds(shard)
-            )
+        self._supervisor.watch(
+            slot, shard.id, pool, self._predicted_seconds(shard)
+        )
         self._log(
             "dispatch", shard.id, slot,
             tuple(ticket.id for ticket in shard.entries),
@@ -1111,7 +1098,7 @@ class BatchSession:
     def _on_done(self, slot, shard, block, pool, future, *, occupies=True):
         """Completion callback (runs on the pool's collector thread)."""
         _release_block(block, self._cleanup_error)
-        if self._supervisor is not None and occupies:
+        if occupies:
             self._supervisor.done(slot, shard.id)
         faulted = False
         try:
@@ -1359,11 +1346,7 @@ class BatchSession:
                 "resident_states": len(self._states),
                 "max_resident": self._max_resident,
                 "cost_model": parallel.COST_MODEL.export(),
-                "supervisor": (
-                    self._supervisor.snapshot()
-                    if self._supervisor is not None
-                    else None
-                ),
+                "supervisor": self._supervisor.snapshot(),
                 "breaker": self._breaker.snapshot(),
                 "faults": (
                     self.fault_plan.snapshot()

@@ -14,6 +14,7 @@ algorithm state machines allocation-friendly and deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
@@ -30,6 +31,20 @@ except ImportError:  # pragma: no cover
     _ndarray = ()
 
 __all__ = ["Hypergraph"]
+
+
+def _normalized_weight(weight, what: str) -> int | Fraction:
+    """Validate one vertex weight (``what`` names it in errors): a
+    positive int or Fraction, an integral Fraction becoming an int."""
+    if isinstance(weight, bool) or not isinstance(weight, (int, Fraction)):
+        raise InvalidInstanceError(
+            f"{what} must be an int or Fraction, got {weight!r}"
+        )
+    if weight <= 0:
+        raise InvalidInstanceError(f"{what} must be positive, got {weight}")
+    if isinstance(weight, Fraction) and weight.denominator == 1:
+        return int(weight)
+    return weight
 
 
 def _normalized_weights(
@@ -49,23 +64,11 @@ def _normalized_weights(
         )
     if set(map(type, weight_list)) <= {int} and min(weight_list, default=1) > 0:
         return tuple(weight_list), True
-    all_int = True
-    for vertex, weight in enumerate(weight_list):
-        if isinstance(weight, bool) or not isinstance(weight, (int, Fraction)):
-            raise InvalidInstanceError(
-                f"weight of vertex {vertex} must be an int or "
-                f"Fraction, got {weight!r}"
-            )
-        if weight <= 0:
-            raise InvalidInstanceError(
-                f"weight of vertex {vertex} must be positive, got {weight}"
-            )
-        if type(weight) is not int:
-            if isinstance(weight, Fraction) and weight.denominator == 1:
-                weight_list[vertex] = int(weight)
-            else:
-                all_int = False
-    return tuple(weight_list), all_int
+    weight_list = [
+        _normalized_weight(weight, f"weight of vertex {vertex}")
+        for vertex, weight in enumerate(weight_list)
+    ]
+    return tuple(weight_list), set(map(type, weight_list)) <= {int}
 
 
 def _tuple_rows(cells, offsets, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -388,10 +391,7 @@ class Hypergraph:
                 )
             else:
                 # O(nnz) tally without materializing the O(n) transpose.
-                counts: dict[int, int] = {}
-                for members in self._edges:
-                    for vertex in members:
-                        counts[vertex] = counts.get(vertex, 0) + 1
+                counts = Counter(chain.from_iterable(self._edges))
                 self._max_degree = max(counts.values(), default=0)
         return self._max_degree
 

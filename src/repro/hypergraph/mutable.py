@@ -30,22 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
-from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.hypergraph import Hypergraph, _normalized_weight
 
 __all__ = ["GraphDelta", "MutableHypergraph", "apply_delta"]
-
-
-def _normalized_weight(weight, what: str) -> int | Fraction:
-    """Validate one vertex weight exactly as ``Hypergraph`` would."""
-    if isinstance(weight, bool) or not isinstance(weight, (int, Fraction)):
-        raise InvalidInstanceError(
-            f"{what} must be an int or Fraction, got {weight!r}"
-        )
-    if weight <= 0:
-        raise InvalidInstanceError(f"{what} must be positive, got {weight}")
-    if isinstance(weight, Fraction) and weight.denominator == 1:
-        return int(weight)
-    return weight
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,9 @@ ignores them.
 
 A damaged container — missing or mangled magic, a version from the
 future, a truncated tail, a bit-flipped section, offsets, lengths or
-cells that index out of range — raises a typed
+cells that index out of range, a membership row that is empty,
+repeats or disorders its vertex ids, or reaches outside its own
+instance — raises a typed
 :class:`~repro.exceptions.ArenaStoreError` (under
 :class:`~repro.exceptions.TransportError`, so the serving stack's
 recovery paths treat a damaged file and a damaged shared-memory
@@ -520,9 +522,10 @@ def _check_structure(
     """Structural invariants a CRC cannot cover (wrong-but-consistent
     bytes): offset tables monotone from 0 and ending at the header's
     totals, ``starts`` the exclusive prefix sum of ``lengths`` summing
-    to the cell count, and every membership cell a valid global vertex
-    id.  A container violating any of these would index out of bounds
-    inside the kernel sweeps."""
+    to the cell count, and every membership row an edge its own
+    instance could hold (see :func:`_row_problem`).  A container
+    violating any of these would index out of bounds inside the kernel
+    sweeps, or solve an instance no ``Hypergraph`` represents."""
     for name, offsets, total in (
         ("vertex_offset", vertex_offset, total_vertices),
         ("edge_offset", edge_offset, total_edges),
@@ -540,30 +543,71 @@ def _check_structure(
                 f"{total}"
             )
     if _np is not None and isinstance(lengths, _np.ndarray):
-        expected_starts = _np.zeros(len(lengths), dtype=_np.int64)
-        _np.cumsum(lengths[:-1], out=expected_starts[1:])
         consistent = bool(
-            _np.array_equal(starts, expected_starts)
+            (not len(starts) or starts[0] == 0)
+            and _np.array_equal(_np.diff(starts), lengths[:-1])
             and int(lengths.sum()) == total_cells
-        )
-        cells_ok = len(cells) == 0 or bool(
-            int(cells.min()) >= 0 and int(cells.max()) < total_vertices
         )
     else:
         expected = _starts_of(tuple(lengths))
         consistent = (
             tuple(starts) == expected and sum(lengths) == total_cells
         )
-        cells_ok = all(
-            0 <= cell < total_vertices for cell in cells
-        )
     if not consistent:
         raise ArenaStoreError(
             f"{label}: membership lengths/starts are inconsistent with "
-            f"the header's cell count"
+            f"the header's {total_cells} cells"
         )
-    if not cells_ok:
-        raise ArenaStoreError(
-            f"{label}: membership cells reference vertices outside "
-            f"0..{total_vertices - 1}"
+    problem = _row_problem(vertex_offset, edge_offset, lengths, starts, cells)
+    if problem is not None:
+        raise ArenaStoreError(f"{label}: {problem}")
+
+
+def _row_problem(vertex_offset, edge_offset, lengths, starts, cells):
+    """Why the membership rows cannot all be ``Hypergraph`` edges, or
+    ``None``.  An edge is non-empty, lists strictly increasing vertex
+    ids, and lies inside its own instance's vertex range; with every
+    row increasing, an instance's cells do iff their extremes do."""
+    unordered = "has cells out of strictly increasing order"
+    blocks = [
+        int(starts[edge]) if edge < len(starts) else len(cells)
+        for edge in edge_offset
+    ]
+    filled = [k for k in range(len(blocks) - 1) if blocks[k] < blocks[k + 1]]
+    if _np is not None and isinstance(lengths, _np.ndarray) and len(lengths):
+        shortest, longest = int(lengths.min()), int(lengths.max())
+        # Bounded lengths also keep the prefix sums clear of wraparound.
+        if shortest < 1 or longest > len(cells):
+            row = int(_np.argmax((lengths < 1) | (lengths > len(cells))))
+            return f"membership row {row} has {lengths[row]} cells"
+        descents = cells[1:] <= cells[:-1]
+        # A row may start at or below where the previous row ended.
+        if shortest == longest:
+            descents[longest - 1 :: longest] = False
+        else:
+            descents[starts[1:] - 1] = False
+        if descents.any():
+            row = _np.searchsorted(starts, _np.argmax(descents), "right")
+            return f"membership row {row - 1} {unordered}"
+        firsts = [blocks[k] for k in filled]
+        extremes = zip(
+            _np.minimum.reduceat(cells, firsts).tolist(),
+            _np.maximum.reduceat(cells, firsts).tolist(),
         )
+    else:
+        for row, (start, length) in enumerate(zip(starts, lengths)):
+            if not 1 <= length <= len(cells):
+                return f"membership row {row} has {length} cells"
+            members = cells[start : start + length]
+            if any(b <= a for a, b in zip(members, members[1:])):
+                return f"membership row {row} {unordered}"
+        spans = [cells[blocks[k] : blocks[k + 1]] for k in filled]
+        extremes = ((min(span), max(span)) for span in spans)
+    for instance, (smallest, largest) in zip(filled, extremes):
+        low, high = vertex_offset[instance : instance + 2]
+        if smallest < low or largest >= high:
+            return (
+                f"membership cells of instance {instance} reach outside "
+                f"its vertices {low}..{high - 1}"
+            )
+    return None

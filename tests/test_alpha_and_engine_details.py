@@ -5,10 +5,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import repro.core.fastpath as fastpath_module
+import repro.core.lockstep as lockstep_module
 from repro.congest.engine import SynchronousEngine, default_bandwidth_cap
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Node
+from repro.core.fastpath import HAS_NUMPY, prepare_scaled_state
 from repro.core.params import AlgorithmConfig, theorem9_alpha
 from repro.core.solver import solve_mwhvc
 from repro.hypergraph.hypergraph import Hypergraph
@@ -48,6 +51,59 @@ class TestLocalAlphaEndToEnd:
         assert lock.cover == cong.cover
         assert lock.dual == cong.dual
         assert lock.rounds == cong.rounds
+
+    def test_scaled_state_stores_alpha_once(self, monkeypatch):
+        """Iteration 0 keeps one Fraction per instance under theorem9
+        and fixed, and lockstep's per-edge alphas only under local;
+        the fused and scalar passes build the same state."""
+        edges = [(0,)] * 256 + [(1,)] * 4
+        hypergraph = Hypergraph(2, edges, weights=[1000, 1000])
+        configs = {
+            "theorem9": AlgorithmConfig(epsilon=Fraction(1)),
+            "fixed": AlgorithmConfig(
+                epsilon=Fraction(1),
+                alpha_policy="fixed",
+                fixed_alpha=Fraction(7, 2),
+            ),
+            "local": AlgorithmConfig(epsilon=Fraction(1), alpha_policy="local"),
+        }
+        built = []
+
+        def spy_build_cores(*args):
+            cores = real_build_cores(*args)
+            built.append(cores[1])
+            return cores
+
+        real_build_cores = lockstep_module.build_cores
+        monkeypatch.setattr(lockstep_module, "build_cores", spy_build_cores)
+        lockstep_module.run_lockstep(hypergraph, configs["local"])
+        core_alphas = [core.alpha for core in built[0]]
+        assert len(set(core_alphas)) == 2
+
+        fused = {
+            policy: prepare_scaled_state(hypergraph, config)
+            for policy, config in configs.items()
+        }
+        assert fused["theorem9"].alpha == theorem9_alpha(256, 1, Fraction(1))
+        assert fused["fixed"].alpha == Fraction(7, 2)
+        assert fused["local"].alpha == core_alphas
+
+        monkeypatch.setattr(
+            fastpath_module, "_fused_iteration0", lambda *args: None
+        )
+        for policy, config in configs.items():
+            state = fused[policy]
+            if policy != "local":
+                assert isinstance(state.alpha, Fraction)
+            if HAS_NUMPY:
+                assert not isinstance(state.degrees, list), policy
+            scalar = prepare_scaled_state(hypergraph, config)
+            assert isinstance(scalar.degrees, list)
+            assert scalar.alpha == state.alpha
+            assert scalar.scale == state.scale
+            assert scalar.bid == state.bid
+            assert list(scalar.total_delta) == list(state.total_delta)
+            assert list(scalar.degrees) == list(state.degrees)
 
     def test_global_vs_local_can_differ_in_iterations(self):
         """With mixed degrees the global policy applies the max-degree

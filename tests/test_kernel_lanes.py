@@ -462,6 +462,28 @@ def lane_stress_hypergraphs(draw, max_vertices=12, max_edges=14, max_rank=4):
     return Hypergraph(n, edges, weights)
 
 
+#: The alpha policies the lane properties draw.  Theorem 9 and both
+#: fixed alphas give one alpha per instance, the local policy one per
+#: edge; the fractional fixed alpha must take the big-int floor.
+ALPHA_POLICIES = [
+    {"alpha_policy": "theorem9"},
+    {"alpha_policy": "local"},
+    {"alpha_policy": "fixed", "fixed_alpha": Fraction(3)},
+    {"alpha_policy": "fixed", "fixed_alpha": Fraction(7, 2)},
+]
+
+
+def assert_alpha_matches_lockstep(result, reference, config):
+    """The alpha span equals lockstep's, and a fractional fixed alpha
+    took the big-int floor."""
+    assert (result.alpha_min, result.alpha_max) == (
+        reference.alpha_min,
+        reference.alpha_max,
+    )
+    if config.alpha_policy == "fixed" and config.fixed_alpha.denominator > 1:
+        assert result.lane == "bigint"
+
+
 @DIFFERENTIAL_SETTINGS
 @given(
     hypergraph=lane_stress_hypergraphs(),
@@ -469,11 +491,15 @@ def lane_stress_hypergraphs(draw, max_vertices=12, max_edges=14, max_rank=4):
         [Fraction(1), Fraction(1, 2), Fraction(1, 7), Fraction(2, 9)]
     ),
     schedule=st.sampled_from(["spec", "compact"]),
+    alpha=st.sampled_from(ALPHA_POLICIES),
 )
-def test_property_lane_equality(hypergraph, epsilon, schedule):
-    """int64 / two-limb / big-int are all bit-identical to lockstep."""
-    config = AlgorithmConfig(epsilon=epsilon, schedule=schedule)
-    assert_lanes_match_lockstep(hypergraph, config)
+def test_property_lane_equality(hypergraph, epsilon, schedule, alpha):
+    """int64 / two-limb / big-int are all bit-identical to lockstep,
+    under every alpha policy."""
+    config = AlgorithmConfig(epsilon=epsilon, schedule=schedule, **alpha)
+    reference = assert_lanes_match_lockstep(hypergraph, config)
+    result = solve_mwhvc(hypergraph, config=config, executor="fastpath")
+    assert_alpha_matches_lockstep(result, reference, config)
 
 
 @DIFFERENTIAL_SETTINGS
@@ -484,13 +510,14 @@ def test_property_lane_equality(hypergraph, epsilon, schedule):
         max_size=4,
     ),
     epsilon=st.sampled_from([Fraction(1, 3), Fraction(1, 11)]),
+    alpha=st.sampled_from(ALPHA_POLICIES),
 )
-def test_property_batch_lane_mixes(hypergraphs, epsilon):
+def test_property_batch_lane_mixes(hypergraphs, epsilon, alpha):
     """Batches mixing int64 / two-limb / spilled instances stay exact.
 
     Solo fastpath runs the same spill ladder as the batch, so lockstep's
     Fraction cores are the independent reference."""
-    config = AlgorithmConfig(epsilon=epsilon)
+    config = AlgorithmConfig(epsilon=epsilon, **alpha)
     batch = solve_mwhvc_batch(hypergraphs, config=config)
     for hypergraph, batched in zip(hypergraphs, batch):
         solo = solve_mwhvc(hypergraph, config=config, executor="fastpath")
@@ -498,6 +525,7 @@ def test_property_batch_lane_mixes(hypergraphs, epsilon):
         for attribute in OBSERVABLES:
             assert getattr(batched, attribute) == getattr(solo, attribute)
             assert getattr(batched, attribute) == getattr(reference, attribute)
+        assert_alpha_matches_lockstep(batched, reference, config)
 
 
 # ----------------------------------------------------------------------

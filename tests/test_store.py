@@ -474,10 +474,31 @@ def test_wrong_but_checksummed_structure_is_refused(tmp_path):
     """A CRC-consistent container with impossible structure (cells
     pointing outside the vertex range, an edge table ending short of
     the header's edge count, a weights section too short for the
-    vertices) must still be refused — that is what stands between a
-    crafted container and an out-of-bounds sweep."""
+    vertices, membership rows no ``Hypergraph`` edge can be) must
+    still be refused — that is what stands between a crafted container
+    and an out-of-bounds sweep or a solve of an impossible instance."""
     arena = pack_arena([Hypergraph(3, [(0, 1), (1, 2)], [1, 2, 3])])
     raw = encode_arena(arena)
+    two = encode_arena(
+        pack_arena(
+            [Hypergraph(2, [(0, 1)], [1, 2]), Hypergraph(2, [(0, 1)], [3, 4])]
+        )
+    )
+    three = encode_arena(
+        pack_arena([Hypergraph(3, [(0, 1), (1,), (2,)], [1, 2, 3])])
+    )
+
+    def words(*values):
+        return lambda body: struct.pack_into(
+            f"<{len(values)}q", body, 0, *values
+        )
+
+    def rows(lengths, starts):
+        """``raw`` with its membership lengths and starts rewritten."""
+        return _rewrite_section(
+            _rewrite_section(raw, 3, words(*lengths)), 4, words(*starts)
+        )
+
     crafted = {
         "cells": _rewrite_section(
             raw, 5, lambda body: struct.pack_into("<q", body, 0, 10**6)
@@ -488,6 +509,18 @@ def test_wrong_but_checksummed_structure_is_refused(tmp_path):
         "int64 weights": encode_arena(replace(arena, weights=(1, 2))),
         "text weights": encode_arena(
             replace(arena, weights=(Fraction(1, 2), 2))
+        ),
+        # Rows (0, 1, 1) and (2,): a repeated member.
+        "repeated member": rows((3, 1), (0, 3)),
+        # Rows () and (0, 1, 1, 2): an empty edge.
+        "empty row": rows((0, 4), (0, 0)),
+        # The first instance's row (0, 2) names the second's vertex 2.
+        "cross-instance id": _rewrite_section(two, 5, words(0, 2, 2, 3)),
+        # Lengths whose int64 prefix sums wrap around to the cell count.
+        "wrapping lengths": _rewrite_section(
+            _rewrite_section(three, 3, words(2**63 - 1, 2**63 - 1, 6)),
+            4,
+            words(0, 2**63 - 1, -2),
         ),
     }
     path = tmp_path / "evil.arena"
