@@ -134,17 +134,17 @@ class ScaledState:
     :func:`repro.core.batch.run_fastpath_batch` (arena slices) so the
     two executors cannot diverge at initialization.
 
-    The per-vertex fields (``total_delta``, ``degrees``) are plain
-    lists from the scalar pass but stay int64 ndarrays when the fused
-    pass produced them — :class:`~repro.core.kernels.LaneRun`
-    concatenates them into its slabs either way, and the scalar
-    executor converts to Python-int lists at its entry (numpy scalars
-    must never reach the exact big-int arithmetic).
+    ``bid``, ``total_delta`` and ``degrees`` are plain lists from the
+    scalar pass but stay int64 ndarrays when the fused pass produced
+    them and they fit — :class:`~repro.core.kernels.LaneRun` builds
+    its slabs from either form without writing to them, and the
+    big-int loop converts to Python-int lists at its entry (numpy
+    scalars must never reach the exact big-int arithmetic).
     """
 
     alpha: Fraction | list[Fraction]
     scale: int
-    bid: list[int]
+    bid: list[int]  # or int64 ndarray (fused pass)
     total_delta: list[int]  # or int64 ndarray (fused pass)
     degrees: list[int]  # or int64 ndarray (fused pass)
 
@@ -163,15 +163,16 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     A fused sweep counterpart of the per-edge Python loops below: one
     pass builds degrees (``bincount``), per-edge argmins (a float64
     ratio prefilter with exact integer resolution of near-ties), the
-    global scale (lcm over *unique* argmin profiles instead of all
-    ``m`` edges), the initial bids and the per-vertex bid sums.  Every
+    global scale (int64 gcds per edge, one lcm over their distinct
+    values), the initial bids and the per-vertex bid sums.  Every
     arithmetic step is exact — the float ratios only *shortlist*
     argmin candidates (any cell within a relative band far wider than
     float64 error), and each shortlist of size > 1 is resolved with
     the same integer cross products :func:`argmin_member` uses — so
     the result is bit-identical to the scalar pass.  Returns ``None``
     for instances the guards exclude (no numpy, fractional weights,
-    or magnitudes near int64).
+    or magnitudes near int64).  The bids and per-vertex fields stay
+    int64 arrays while they fit (see :class:`ScaledState`).
     """
     if _np is None:
         return None
@@ -197,16 +198,25 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     if max_weight * max_degree >= _FUSED_INT64_LIMIT:
         return None
 
-    local_policy = config.alpha_policy == "local"
-    if local_policy:
+    # The instance's distinct alphas; ``which`` picks each edge's.
+    if config.alpha_policy == "local":
         local_max = _np.maximum.reduceat(degrees_arr[cells], starts)
-        by_degree = {
-            value: resolve_alpha(config, rank, max_degree, value)
-            for value in _np.unique(local_max).tolist()
-        }
-        alpha = [by_degree[value] for value in local_max.tolist()]
+        values, which = _np.unique(local_max, return_inverse=True)
+        alphas = [
+            resolve_alpha(config, rank, max_degree, value)
+            for value in values.tolist()
+        ]
+        alpha = [alphas[index] for index in which.tolist()]
     else:
         alpha = resolve_alpha(config, rank, max_degree)
+        alphas, which = [alpha], 0
+    # The scale's int64 gcds below are exact while ``w* * alpha_num``
+    # and ``2 |E(v*)| * alpha_den`` stay under the ceiling.
+    nums, dens = zip(*[(a.numerator, a.denominator) for a in alphas])
+    if max(max_weight * max(nums), 2 * max_degree * max(dens)) >= _FUSED_INT64_LIMIT:
+        return None
+    alpha_num = _np.array(nums, dtype=_np.int64)[which]
+    alpha_den = _np.array(dens, dtype=_np.int64)[which]
 
     # Argmin per edge: minimize w(v)/|E(v)|, ties by vertex id.  The
     # float64 ratio is only a shortlist (its relative error is ~2^-52,
@@ -244,49 +254,34 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     argmin_w = weights_arr[argmin_v]
     argmin_d = degrees_arr[argmin_v]
 
-    # Scale: identical lcm contributions as the scalar loop, computed
-    # once per *unique* (w*, |E(v*)|[, alpha]) profile instead of per
-    # edge — the profiles dedupe through a composite int64 key (exact:
-    # ``w* * max_degree`` is below the guard ceiling).  Weight
-    # denominators are all 1 here (int weights only).
-    stride = max_degree + 1
-    keys = argmin_w * stride + argmin_d
-    if local_policy:
-        key_values, key_degrees = _np.unique(
-            _np.stack([keys, local_max]), axis=1
+    # Scale: the scalar loop's two lcm contributions per edge (the
+    # reduced denominators of ``w*/(2 |E(v*)|)`` and of its alpha
+    # multiple) as int64 gcds, then one lcm over their few distinct
+    # values.  Weight denominators are all 1 here (int weights only).
+    bid_dens = 2 * argmin_d
+    raised_dens = bid_dens * alpha_den
+    contributions = _np.concatenate(
+        (
+            bid_dens // _np.gcd(argmin_w, bid_dens),
+            raised_dens // _np.gcd(argmin_w * alpha_num, raised_dens),
         )
-        key_alphas = [by_degree[value] for value in key_degrees.tolist()]
-    else:
-        key_values = _np.unique(keys)
-        key_alphas = repeat(alpha)
-    scale = 1
-    for key, edge_alpha in zip(key_values.tolist(), key_alphas):
-        min_weight = key // stride
-        bid_den = 2 * (key % stride)
-        scale = lcm(scale, bid_den // gcd(min_weight, bid_den))
-        raised_den = bid_den * edge_alpha.denominator
-        raised_top = min_weight * edge_alpha.numerator
-        scale = lcm(scale, raised_den // gcd(raised_top, raised_den))
+    )
+    scale = lcm(*_np.unique(contributions).tolist())
 
     # Initial bids and the per-vertex bid sums, vectorized while the
     # products fit int64 (the scalar tail keeps exactness beyond).
     if max_weight * scale < _FUSED_INT64_LIMIT:
         numerators = argmin_w * scale
-        bid_dens = 2 * argmin_d
-        bid_arr = numerators // bid_dens
-        if (numerators - bid_arr * bid_dens).any():
+        bid = numerators // bid_dens
+        if (numerators - bid * bid_dens).any():
             raise AlgorithmError(
                 f"scale {scale} cannot represent every bid0 exactly"
             )
-        bid = bid_arr.tolist()
-        if int(bid_arr.max()) * max_degree < _FUSED_INT64_LIMIT:
+        if int(bid.max()) * max_degree < _FUSED_INT64_LIMIT:
             total_delta = _np.zeros(n, dtype=_np.int64)
-            # Stays an int64 array: LaneRun concatenates it straight
-            # into its vertex-side slab, and the big-int loop converts
-            # at its entry.
-            _np.add.at(total_delta, cells, bid_arr[edge_of_cell])
+            _np.add.at(total_delta, cells, bid[edge_of_cell])
         else:
-            total_delta = hypergraph._vertex_sums(bid)
+            total_delta = hypergraph._vertex_sums(bid.tolist())
     else:
         bid = [
             initial_bid_scaled(min_weight, min_degree, scale)
@@ -560,6 +555,8 @@ def _run_bigint(
     if carry is None:
         scale = state.scale
         bid = state.bid
+        if not isinstance(bid, list):
+            bid = bid.tolist()
         # Iteration 0's raised bids are ``alpha * bid`` (exact in the
         # initial scale) and its duals the bids themselves.
         raised = [

@@ -70,6 +70,11 @@ from repro.hypergraph.mutable import (
 from repro.lp.duality import ApproximationCertificate
 from repro.lp.scaled import ScaledDual
 
+try:  # pragma: no cover - exercised implicitly by either branch
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
 __all__ = ["Fragment", "solve_state", "resolve_incremental"]
 
 #: A fragment solver: takes ``[(instance, pinned_config), ...]`` and
@@ -106,7 +111,52 @@ def _components(
 ) -> tuple[list[tuple[list[int], list[int]]], list[int]]:
     """Connected components (vertex ids, edge ids — both sorted) plus
     the isolated vertices, deterministically ordered by smallest
-    member vertex."""
+    member vertex.
+
+    With numpy the vertices are labelled on the CSR arrays by hook and
+    shortcut: each round hooks every member's root to the smallest root
+    in its edge, then pointer-jumps to a fixpoint.  Labels only fall, so
+    each ends as its component's smallest vertex, and stable sorts by
+    label give :func:`_components_walk`'s lists in its order.
+    """
+    arrays = hypergraph._arrays() if hypergraph.num_edges else None
+    if arrays is None:
+        return _components_walk(hypergraph)
+    cells, offsets = arrays
+    starts = offsets[:-1]
+    label = _np.arange(hypergraph.num_vertices)
+    edge_of_cell = _np.repeat(_np.arange(hypergraph.num_edges), _np.diff(offsets))
+    while True:
+        roots = label[cells]
+        smallest = _np.minimum.reduceat(roots, starts)[edge_of_cell]
+        moving = smallest < roots
+        if not moving.any():
+            break
+        _np.minimum.at(label, roots[moving], smallest[moving])
+        jumped = label[label]
+        while not _np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+    degrees = _np.bincount(cells, minlength=hypergraph.num_vertices)
+    members = _np.flatnonzero(degrees)
+    members = members[_np.argsort(label[members], kind="stable")]
+    edges = _np.argsort(label[cells[starts]], kind="stable")
+    bounds = [
+        [0, *(_np.flatnonzero(_np.diff(labels)) + 1).tolist(), labels.size]
+        for labels in (label[members], label[cells[starts[edges]]])
+    ]
+    members, edges = members.tolist(), edges.tolist()
+    components = [
+        (members[a:b], edges[c:d])
+        for a, b, c, d in zip(bounds[0], bounds[0][1:], bounds[1], bounds[1][1:])
+    ]
+    return components, _np.flatnonzero(degrees == 0).tolist()
+
+
+def _components_walk(
+    hypergraph: Hypergraph,
+) -> tuple[list[tuple[list[int], list[int]]], list[int]]:
+    """:func:`_components` by a depth-first walk over the tuple
+    incidence: the numpy-less path and the reference."""
     incidence = hypergraph._ensure_incidence()
     members_of = hypergraph.edges
     visited = [False] * hypergraph.num_vertices

@@ -111,6 +111,10 @@ HAS_NUMPY = _np is not None
 #: below this before letting numpy multiply them.
 _INT64_MAX = (1 << 63) - 1
 
+#: Ceiling on :class:`LaneRun`'s composite transpose keys (vertex id
+#: times arena nnz, plus the cell); larger arenas sort stably instead.
+_TRANSPOSE_KEY_LIMIT = 1 << 62
+
 #: Bits per stored limb below a limb value's top word.
 LIMB_BITS = 32
 
@@ -272,6 +276,12 @@ class Int64Ops:
         return _np.array(values, dtype=_np.int64)
 
     @staticmethod
+    def from_int64(values):
+        """The lane value of a non-negative int64 array, which it takes
+        over (callers pass an array nothing else writes)."""
+        return values
+
+    @staticmethod
     def copy(value):
         return value.copy()
 
@@ -404,13 +414,33 @@ class LimbOps:
         words.append(values)
         return tuple(_np.array(word, dtype=_np.int64) for word in words)
 
+    def from_int64(self, values):
+        """:meth:`from_list` of a non-negative int64 array, by mask and
+        shift.  Each step shifts by 32 bits only (numpy's ``>>`` by 64
+        or more is undefined), so words above the second come out 0."""
+        words = []
+        for _ in range(self.limbs - 1):
+            words.append(values & _LIMB_MASK)
+            values = values >> LIMB_BITS
+        words.append(values)
+        return tuple(words)
+
     @staticmethod
     def copy(value):
         return tuple(word.copy() for word in value)
 
     @staticmethod
     def tolist_slice(value, sl):
-        words = [word[sl].tolist() for word in value]
+        words = [word[sl] for word in value]
+        if not words[0].size:
+            return []
+        if int(words[1].max()) < 1 << 31 and not any(
+            word.any() for word in words[2:]
+        ):
+            # Every value is below 2**63: recombine in int64 and
+            # convert once.
+            return ((words[1] << LIMB_BITS) | words[0]).tolist()
+        words = [word.tolist() for word in words]
         result = words.pop()
         while words:
             result = [
@@ -567,6 +597,21 @@ TwoLimbOps = LimbOps("two-limb", 2)
 ThreeLimbOps = LimbOps("three-limb", 3)
 
 
+def _value_slab(ops, parts):
+    """One lane value array from per-instance chunks in arena order:
+    int64 arrays (the fused iteration 0) join and split once; any list
+    of Python ints (the scalar pass, carries) sends all to from_list."""
+    if all(isinstance(part, _np.ndarray) for part in parts):
+        return ops.from_int64(_np.concatenate(parts))
+    return ops.from_list(
+        [
+            value
+            for part in parts
+            for value in (part.tolist() if isinstance(part, _np.ndarray) else part)
+        ]
+    )
+
+
 @dataclass
 class MachineLane:
     """One machine-width rung of the spill ladder.
@@ -684,12 +729,12 @@ class LaneRun:
                 for state, count in zip(states, edge_counts.tolist())
             ]
         )
-        self.bid = ops.from_list(
+        self.bid = _value_slab(
+            ops,
             [
-                value
+                carry["bid"] if carry else state.bid
                 for state, carry in zip(states, carries)
-                for value in (carry["bid"] if carry else state.bid)
-            ]
+            ],
         )
         # Iteration 0's raised bids (exact, and charged by the headroom
         # bound) and duals follow from the bids; carries load their own.
@@ -704,105 +749,64 @@ class LaneRun:
             carry["scale"] if carry else state.scale
             for state, carry in zip(states, carries)
         ]
-        beta_den, z_caps = [], []
-        # Per-instance scaled-weight chunks: an int64 ndarray when the
-        # instance's products provably fit (vectorized multiply), else
-        # a plain list from the exact scalar path.  Kept per instance
-        # so mixed batches lose nothing — the chunks are concatenated
-        # in order at the end.
-        ws_parts: list = []
-        tr_parts: list = []
-        vectorize = ops.name == "int64"
-        for hypergraph, scale in zip(hypergraphs, self.scales):
-            if _BEAT is not None:
-                _BEAT()
-            beta = config.beta(hypergraph.rank)
-            beta_den.append(beta.denominator)
-            z_caps.append(config.z(hypergraph.rank))
-            if hypergraph.weights_all_int:
-                # Integer weights multiply exactly — skip the per-value
-                # integrality verification of ``exact_scaled_int`` and
-                # fold the constant ``(beta_den - beta_num) * scale``
-                # threshold factor out of the loop.
-                threshold_scale = (
-                    beta.denominator - beta.numerator
-                ) * scale
-                if vectorize and hypergraph.num_vertices:
-                    # Vectorized scaling is exact iff the largest
-                    # product fits int64 — checked in unbounded Python
-                    # arithmetic *before* any numpy multiply can wrap.
-                    arr = hypergraph.weights_int64()
-                    if arr is not None:
-                        bound = int(arr.max()) * max(
-                            scale, threshold_scale, 1
-                        )
-                        if bound <= _INT64_MAX:
-                            ws_parts.append(arr * scale)
-                            tr_parts.append(arr * threshold_scale)
-                            continue
-                weights = hypergraph.weights
-                ws_parts.append([w * scale for w in weights])
-                tr_parts.append([w * threshold_scale for w in weights])
-                continue
-            weights = hypergraph.weights
-            ws_parts.append(
-                [exact_scaled_int(weight, scale) for weight in weights]
-            )
-            tr_parts.append(
-                [
-                    tight_threshold_scaled(
-                        weight, beta.numerator, beta.denominator, scale
-                    )
-                    for weight in weights
-                ]
-            )
+        betas = [config.beta(hypergraph.rank) for hypergraph in hypergraphs]
+        beta_den = [beta.denominator for beta in betas]
+        beta_gap = [beta.denominator - beta.numerator for beta in betas]
+        z_caps = [config.z(hypergraph.rank) for hypergraph in hypergraphs]
         self.z_caps = z_caps
         self.limits = limits
-        if vectorize:
-            self.weight_scaled = (
-                _np.concatenate(
-                    [_np.asarray(part, dtype=int64) for part in ws_parts]
-                )
-                if ws_parts
-                else ops.from_list([])
+        vertex_counts = _np.diff(_np.array(arena.vertex_offset, dtype=int64))
+        # ``w * scale`` and the step-3a threshold ``w * scale * (beta_den
+        # - beta_num)`` as two lane multiplies over the slab while every
+        # instance has int64 weights and both are exact, which unbounded
+        # Python arithmetic checks before numpy can wrap: the products
+        # fit int64 on the int64 lane, the multipliers fit the limb
+        # lanes' 62-bit ``mul_int`` budget.
+        weights = [hypergraph.weights_int64() for hypergraph in hypergraphs]
+        exact = all(
+            weight is not None
+            and (
+                hypergraph.max_weight * scale * max(gap, 1) <= _INT64_MAX
+                if ops is Int64Ops
+                else max(scale, gap) < 1 << 62
             )
-            self.tight_rhs = (
-                _np.concatenate(
-                    [_np.asarray(part, dtype=int64) for part in tr_parts]
-                )
-                if tr_parts
-                else ops.from_list([])
+            for hypergraph, weight, scale, gap in zip(
+                hypergraphs, weights, self.scales, beta_gap
             )
-        else:
-            self.weight_scaled = ops.from_list(
-                [value for part in ws_parts for value in part]
+        )
+        if exact:
+            self.weight_scaled = ops.mul_int(
+                ops.from_int64(_np.concatenate(weights)),
+                _np.repeat(_np.array(self.scales, dtype=int64), vertex_counts),
             )
-            self.tight_rhs = ops.from_list(
-                [value for part in tr_parts for value in part]
-            )
-        td_parts = [
-            carry["total_delta"] if carry else state.total_delta
-            for state, carry in zip(states, carries)
-        ]
-        if vectorize and td_parts:
-            # Per-part C conversion + concatenate skips the Python
-            # flattening pass over every vertex of the batch.
-            self.total_delta = _np.concatenate(
-                [_np.asarray(part, dtype=int64) for part in td_parts]
+            self.tight_rhs = ops.mul_int(
+                self.weight_scaled,
+                _np.repeat(_np.array(beta_gap, dtype=int64), vertex_counts),
             )
         else:
-            self.total_delta = ops.from_list(
-                [value for part in td_parts for value in part]
-            )
-        degrees = (
-            _np.concatenate(
-                [
-                    _np.asarray(state.degrees, dtype=int64)
-                    for state in states
-                ]
-            )
-            if states
-            else _np.zeros(0, dtype=int64)
+            # Fractional weights or wider multipliers: per vertex, exact.
+            scaled, thresholds = [], []
+            for hypergraph, scale, beta in zip(hypergraphs, self.scales, betas):
+                if _BEAT is not None:
+                    _BEAT()
+                for weight in hypergraph.weights:
+                    scaled.append(exact_scaled_int(weight, scale))
+                    thresholds.append(
+                        tight_threshold_scaled(
+                            weight, beta.numerator, beta.denominator, scale
+                        )
+                    )
+            self.weight_scaled = ops.from_list(scaled)
+            self.tight_rhs = ops.from_list(thresholds)
+        self.total_delta = _value_slab(
+            ops,
+            [
+                carry["total_delta"] if carry else state.total_delta
+                for state, carry in zip(states, carries)
+            ],
+        )
+        degrees = _np.concatenate(
+            [_np.asarray(state.degrees, dtype=int64) for state in states]
         )
         self.uncovered_count = degrees.copy()
         self.level = _np.zeros(total_v, dtype=int64)
@@ -810,7 +814,6 @@ class LaneRun:
         self.flags = _np.zeros(total_v, dtype=int64)
         self.in_cover = _np.zeros(total_v, dtype=bool)
         self.dead = degrees == 0
-        vertex_counts = _np.diff(_np.array(arena.vertex_offset, dtype=int64))
         self.inst_v = _np.repeat(instance_ids, vertex_counts)
         self.beta_den_v = _np.repeat(
             _np.array(beta_den, dtype=int64), vertex_counts
@@ -850,16 +853,24 @@ class LaneRun:
         self.e_cells = _np.asarray(membership.cells, dtype=int64)
         self.e_starts = _np.asarray(membership.starts, dtype=int64)
         self.e_lengths = _np.asarray(membership.lengths, dtype=int64)
-        # The incidence layout is the membership transpose: a stable
-        # sort of the membership cells groups the (edge, vertex) pairs
-        # by vertex while keeping ascending edge ids inside each group
+        # The incidence layout is the membership transpose: sorting the
+        # cells by vertex, ties by position, groups the (edge, vertex)
+        # pairs by vertex with ascending edge ids inside each group
         # — the same ordering :func:`repro.hypergraph.csr.arena_incidence`
         # specifies (and tests pin), built vectorized because this runs
         # per solve.  ``transpose=`` lets a caller resuming the same
         # arena on a wider lane (the spill ladder) reuse the arrays
         # instead of re-sorting; it must equal this construction.
         if transpose is None:
-            order = _np.argsort(self.e_cells, kind="stable")
+            nnz = self.e_cells.size
+            if total_v * nnz < _TRANSPOSE_KEY_LIMIT:
+                # Unique keys ``vertex * nnz + cell``: the default sort
+                # gives the stable sort's order, several times faster.
+                order = _np.argsort(
+                    self.e_cells * nnz + _np.arange(nnz, dtype=int64)
+                )
+            else:
+                order = _np.argsort(self.e_cells, kind="stable")
             v_cells = _np.repeat(
                 _np.arange(total_e, dtype=int64), self.e_lengths
             )[order]

@@ -97,11 +97,12 @@ class TestLocalAlphaEndToEnd:
                 assert isinstance(state.alpha, Fraction)
             if HAS_NUMPY:
                 assert not isinstance(state.degrees, list), policy
+                assert not isinstance(state.bid, list), policy
             scalar = prepare_scaled_state(hypergraph, config)
             assert isinstance(scalar.degrees, list)
             assert scalar.alpha == state.alpha
             assert scalar.scale == state.scale
-            assert scalar.bid == state.bid
+            assert scalar.bid == list(state.bid)
             assert list(scalar.total_delta) == list(state.total_delta)
             assert list(scalar.degrees) == list(state.degrees)
 

@@ -36,7 +36,12 @@ import repro.core.kernels as kernels_module
 import repro.hypergraph.hypergraph as hypergraph_module
 from repro.core.corpus import ArenaCatalog, pack_corpus, solve_corpus
 from repro.core.fastpath import HAS_NUMPY, LANES
-from repro.core.incremental import resolve_incremental, solve_state
+from repro.core.incremental import (
+    _components,
+    _components_walk,
+    resolve_incremental,
+    solve_state,
+)
 from repro.core.params import AlgorithmConfig
 from repro.core.solver import solve_mwhvc, solve_mwhvc_batch
 from repro.hypergraph import io as hg_io
@@ -592,6 +597,42 @@ def test_twin_incremental_resolves_are_bit_identical(hypergraph, seed):
             stores[1].snapshot(), config=config, executor="fastpath"
         )
         assert states[0].result == states[1].result == expected
+
+
+@st.composite
+def component_graphs(draw):
+    """Graphs with isolated vertices, singleton and repeated edges."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    edges = [
+        draw(st.permutations(range(n)))[: draw(st.integers(1, min(4, n)))]
+        for _ in range(draw(st.integers(min_value=0, max_value=12)))
+    ]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=2)) if edges else []
+    return Hypergraph(n, edges, [1] * n)
+
+
+@needs_numpy
+@LANE_SETTINGS
+@given(hypergraph=component_graphs())
+def test_array_components_match_the_walk(hypergraph):
+    """Hook-and-shortcut labelling on the CSR arrays gives the tuple
+    walk's components, isolated vertices and order."""
+    assert _components(array_twin(hypergraph)) == _components_walk(hypergraph)
+
+
+@needs_numpy
+def test_array_components_on_a_long_shuffled_path():
+    """A path of 20 000 shuffled vertices: the labelling must hook
+    roots, or it needs one round per step of the path."""
+    rng = random.Random(5)
+    order = list(range(20_000))
+    rng.shuffle(order)
+    edges = list(zip(order, order[1:]))
+    rng.shuffle(edges)
+    hypergraph = Hypergraph(len(order), edges, [1] * len(order))
+    components, isolated = _components(array_twin(hypergraph))
+    assert (components, isolated) == _components_walk(hypergraph)
+    assert len(components) == 1 and not isolated
 
 
 # ----------------------------------------------------------------------

@@ -790,7 +790,9 @@ LIMB_LANES = [
     ],
     ids=LIMB_LANES,
 )
-@settings(max_examples=60, deadline=None)
+@settings(
+    max_examples=int(os.environ.get("LANE_DIFF_EXAMPLES", "60")), deadline=None
+)
 @given(data=st.data())
 def test_property_limb_ops_match_python_ints(ops, headroom, factor_bits, data):
     """Every op :class:`~repro.core.kernels.LaneRun` calls on a limb lane
@@ -818,6 +820,39 @@ def test_property_limb_ops_match_python_ints(ops, headroom, factor_bits, data):
     window = slice(start, data.draw(st.integers(start, size)))
     assert back(x) == xs
     assert back(x, window) == xs[window]
+
+    # The int64 constructor splits words by mask and shift exactly as
+    # from_list does, on one array or on per-instance chunks joined
+    # into a slab; any chunk of wider ints sends the slab to from_list.
+    def same_words(left, right):
+        return len(left) == len(right) and all(
+            np.array_equal(a, b) for a, b in zip(left, right)
+        )
+
+    narrow = ints(63) + [0, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**62, 2**63 - 1]
+    words = ops.from_int64(int64s(narrow))
+    assert same_words(words, ops.from_list(narrow))
+    assert not any(word.any() for word in words[2:])
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(narrow)), max_size=3)))
+    chunks = [
+        int64s(narrow[a:b]) for a, b in zip([0, *cuts], [*cuts, len(narrow)])
+    ]
+    assert same_words(
+        kernels_module._value_slab(ops, chunks), ops.from_list(narrow)
+    )
+    assert back(kernels_module._value_slab(ops, [*chunks, xs])) == narrow + xs
+
+    # tolist_slice recombines in int64 below 2**63 and in Python ints
+    # above: second words 2**31 - 1 and 2**31, nonzero third words.
+    bound = [
+        ((2**31 - 1) << 32) | (2**32 - 1), 2**31 << 32, 2**63 - 1, 2**63,
+    ]
+    bound += [2**64, (2**64) | (2**63 - 1)] if ops.limbs > 2 else []
+    for values in ([value] for value in bound):
+        assert back(ops.from_list(values)) == values
+    recombined = back(ops.from_list(bound))
+    assert recombined == bound
+    assert all(type(value) is int for value in recombined + back(words))
 
     # Index sets are unique, like LaneRun's live-id arrays.
     picks = data.draw(st.lists(st.integers(0, size - 1), unique=True))
@@ -943,7 +978,7 @@ def test_arena_incidence_matches_single_instance_transpose():
 
 
 @needs_numpy
-def test_lane_run_transpose_matches_arena_incidence():
+def test_lane_run_transpose_matches_arena_incidence(monkeypatch):
     """LaneRun's vectorized argsort transpose equals the pure-Python
     specification in :func:`repro.hypergraph.csr.arena_incidence`."""
     from repro.core.kernels import Int64Ops, LaneRun
@@ -968,6 +1003,16 @@ def test_lane_run_transpose_matches_arena_incidence():
     assert tuple(run.v_cells.tolist()) == incidence.cells
     assert tuple(run.v_starts.tolist()) == incidence.starts
     assert tuple(run.v_lengths.tolist()) == incidence.lengths
+
+    # Arenas too large for composite keys sort stably: the same arrays.
+    monkeypatch.setattr(kernels_module, "_TRANSPOSE_KEY_LIMIT", 0)
+    stable = LaneRun(
+        hypergraphs, states, config, ops=Int64Ops,
+        limits=[10**9] * len(hypergraphs),
+    )
+    for composite, fallback in zip(run.transpose, stable.transpose):
+        assert composite.tolist() == fallback.tolist()
+    assert tuple(stable.v_cells.tolist()) == incidence.cells
 
 
 @needs_numpy
@@ -1041,6 +1086,19 @@ def test_run_fastpath_state_survives_lane_spills(monkeypatch):
     )
     config = AlgorithmConfig(epsilon=Fraction(1, 4))
     reference = run_fastpath(hypergraph, config)
+    if HAS_NUMPY:
+        # The machine lanes copy the state's int64 arrays, never write
+        # them: the same state still equals a fresh iteration 0.
+        state = prepare_scaled_state(hypergraph, config)
+        assert not isinstance(state.bid, list)
+        for lane in ("int64", "two-limb", "three-limb"):
+            laned = run_fastpath(hypergraph, config, state=state, lane=lane)
+            assert laned.lane == lane
+            assert laned.dual == reference.dual
+        fresh = prepare_scaled_state(hypergraph, config)
+        assert state.scale == fresh.scale
+        for field in ("bid", "total_delta", "degrees"):
+            assert getattr(state, field).tolist() == getattr(fresh, field).tolist()
     monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 4)
     monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 4)
     monkeypatch.setattr(kernels_module.LANE_TABLE["three-limb"], "headroom_bits", 4)
