@@ -131,15 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--schedule", choices=("spec", "compact"), default="spec"
     )
     batch.add_argument(
-        "--sequential",
-        action="store_true",
-        help=(
-            "run the instances one by one through the fastpath "
-            "executor instead of the shared arena (identical results; "
-            "for timing comparisons)"
-        ),
-    )
-    batch.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -172,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "the directory is a packed corpus catalog (see 'pack'): "
             "solve its arena segments in-process via zero-copy mmap "
             "instead of parsing instance files (not combinable with "
-            "--jobs, --stream or --sequential)"
+            "--jobs or --stream)"
         ),
     )
     batch.add_argument(
@@ -445,7 +436,6 @@ def _dispatch_batch(arguments: argparse.Namespace) -> int:
     results = solve_mwhvc_batch(
         hypergraphs,
         config=config,
-        batched=not arguments.sequential,
         jobs=jobs,
         stream=arguments.stream,
     )
@@ -510,7 +500,6 @@ def _dispatch_batch_store(arguments: argparse.Namespace) -> int:
     for flag, given in (
         ("--jobs", arguments.jobs is not None),
         ("--stream", arguments.stream),
-        ("--sequential", arguments.sequential),
     ):
         if given:
             raise InvalidInstanceError(

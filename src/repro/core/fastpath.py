@@ -66,7 +66,6 @@ from repro.core.numeric import exact_scaled_int, scaled_fraction
 from repro.core.observer import IterationObserver, IterationSnapshot
 from repro.core.params import AlgorithmConfig, resolve_alpha
 from repro.core.result import AlgorithmStats, CoverResult
-from repro.core.state import SolveState
 from repro.core.runner import finalize_result
 from repro.core.vertex_logic import (
     check_claim1_scaled,
@@ -382,7 +381,7 @@ def run_fastpath(
     observer: IterationObserver | None = None,
     state: ScaledState | None = None,
     lane: str = "auto",
-    carry: SolveState | None = None,
+    carry: dict | None = None,
 ) -> CoverResult:
     """Execute Algorithm MWHVC on flat scaled-integer arrays.
 
@@ -514,7 +513,7 @@ def _run_bigint(
     verify: bool,
     observer: IterationObserver | None,
     state: ScaledState,
-    carry: SolveState | None = None,
+    carry: dict | None = None,
 ) -> CoverResult:
     """The unbounded big-int iteration loop (the spill ladder's floor).
 

@@ -24,11 +24,13 @@ The pipeline:
 
 * :func:`solve_state` — solve a snapshot decomposed into fragments and
   return a :class:`SolveState` handle (merged result + cached
-  per-fragment results + the packed fragment arena);
+  per-fragment results);
 * :func:`resolve_incremental` — apply a :class:`GraphDelta` (or read
   one off a :class:`MutableHypergraph`), re-solve **only** the dirty
   components (those touching the delta, or whose component split or
-  merged), reuse every clean fragment, and merge.  Falls back to a
+  merged), reuse every clean fragment, and merge.  Only the dirty
+  fragments' instances reach the spill ladder, whose lanes each pack
+  their own group.  Falls back to a
   from-scratch decomposition when the mutation moved the global
   ``f``/``Δ`` (cached fragments were pinned to the old ambient) or when
   the invalidated region exceeds ``threshold`` of the edges.  The
@@ -55,12 +57,6 @@ from repro.core.params import AlgorithmConfig
 from repro.core.result import AlgorithmStats, CoverResult
 from repro.core.state import SolveState
 from repro.exceptions import InvalidInstanceError
-from repro.hypergraph.csr import (
-    BatchArena,
-    pack_arena,
-    patch_arena,
-    slice_arena,
-)
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.mutable import (
     GraphDelta,
@@ -93,15 +89,12 @@ class Fragment:
     ``vertices`` (ascending global ids) define the local id space:
     local vertex ``i`` is global ``vertices[i]``.  ``edge_ids`` are the
     component's global edge positions in the snapshot the fragment
-    belongs to; ``members`` the same edges as global member tuples
-    (stable across snapshots, unlike positions — clean-fragment
-    matching compares these).  Isolated vertices travel as one
-    edgeless fragment so the merged levels cover every vertex.
+    belongs to.  Isolated vertices travel as one edgeless fragment so
+    the merged levels cover every vertex.
     """
 
     vertices: tuple[int, ...]
     edge_ids: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
     instance: Hypergraph
     result: CoverResult | None = None
 
@@ -193,19 +186,16 @@ def _build_fragment(
 ) -> Fragment:
     """A fragment (without result) for one component of ``hypergraph``."""
     local = {vertex: index for index, vertex in enumerate(vertices)}
-    members = tuple(hypergraph.edge(edge_id) for edge_id in edge_ids)
     instance = Hypergraph._from_validated(
         len(vertices),
         tuple(
-            tuple(local[vertex] for vertex in edge) for edge in members
+            tuple(local[vertex] for vertex in hypergraph.edge(edge_id))
+            for edge_id in edge_ids
         ),
         tuple(hypergraph.weight(vertex) for vertex in vertices),
     )
     return Fragment(
-        vertices=tuple(vertices),
-        edge_ids=tuple(edge_ids),
-        members=members,
-        instance=instance,
+        vertices=tuple(vertices), edge_ids=tuple(edge_ids), instance=instance
     )
 
 
@@ -225,7 +215,6 @@ def _run_jobs(
     *,
     lane: str,
     solver: FragmentSolver | None,
-    arena: BatchArena | None = None,
 ) -> list[CoverResult]:
     """Solve fragment jobs; verification happens once, on the merge."""
     if not jobs:
@@ -240,7 +229,7 @@ def _run_jobs(
         return results
     return run_ladder(
         [instance for instance, _ in jobs], jobs[0][1], verify=False,
-        start=lane, arena=arena,
+        start=lane,
     )
 
 
@@ -371,8 +360,8 @@ def solve_state(
     ``version`` ties the state to a :class:`MutableHypergraph` history
     so later calls can pass the store itself instead of a delta;
     ``solver`` overrides how fragment jobs run (e.g. through a
-    session's worker pool) and disables the packed-arena reuse path;
-    ``lane`` is the spill ladder's start rung (differential tests).
+    session's worker pool); ``lane`` is the spill ladder's start rung
+    (differential tests).
     """
     config = config if config is not None else AlgorithmConfig()
     fragments = _fragments_of(hypergraph)
@@ -386,14 +375,10 @@ def solve_state(
             result=run_fastpath(hypergraph, config, verify=verify),
         )
     pinned = config.pinned(hypergraph.rank, hypergraph.max_degree)
-    arena = None
-    if solver is None:
-        arena = pack_arena([fragment.instance for fragment in fragments])
     results = _run_jobs(
         [(fragment.instance, pinned) for fragment in fragments],
         lane=lane,
         solver=solver,
-        arena=arena,
     )
     fragments = tuple(
         replace(fragment, result=result)
@@ -405,72 +390,7 @@ def solve_state(
         version=version,
         fragments=fragments,
         result=_merge(hypergraph, config, fragments, verify=verify),
-        arena=arena,
     )
-
-
-def _patched_arena(
-    state: SolveState,
-    delta: GraphDelta,
-    fragments: Sequence[Fragment],
-    dirty: Sequence[int],
-) -> BatchArena | None:
-    """The new fragment arena via CSR delta application, when possible.
-
-    When the component partition survived the mutation (no splits,
-    merges or new vertices — the dominant single-edge-update shape),
-    the cached arena updates in place: per dirty fragment, tombstone
-    the removed rows, append the added rows, rewrite the reweighted
-    cells (:func:`patch_arena`), never re-packing the clean instances.
-    Returns ``None`` when the partition moved; the caller re-packs.
-    """
-    if state.arena is None or delta.added_vertices:
-        return None
-    if len(fragments) != len(state.fragments):
-        return None
-    for new, old in zip(fragments, state.fragments):
-        if new.vertices != old.vertices:
-            return None
-    owner_of_vertex: dict[int, tuple[int, int]] = {}
-    for index, fragment in enumerate(fragments):
-        for local, vertex in enumerate(fragment.vertices):
-            owner_of_vertex[vertex] = (index, local)
-    owner_of_edge: dict[int, tuple[int, int]] = {}
-    for index, fragment in enumerate(state.fragments):
-        for local, edge_id in enumerate(fragment.edge_ids):
-            owner_of_edge[edge_id] = (index, local)
-    removed: dict[int, list[int]] = {}
-    added: dict[int, list[tuple[int, ...]]] = {}
-    reweighted: dict[int, list[tuple[int, int | Fraction]]] = {}
-    for position in delta.removed_edges:
-        index, local = owner_of_edge[position]
-        removed.setdefault(index, []).append(local)
-    for members in delta.added_edges:
-        index, _ = owner_of_vertex[members[0]]
-        locals_ = []
-        for vertex in members:
-            owner, local = owner_of_vertex[vertex]
-            if owner != index:
-                return None  # edge bridges fragments: partition moved
-            locals_.append(local)
-        added.setdefault(index, []).append(tuple(locals_))
-    for vertex, weight in delta.reweighted:
-        index, local = owner_of_vertex[vertex]
-        reweighted.setdefault(index, []).append((local, weight))
-    arena = state.arena
-    for index in sorted(
-        set(removed) | set(added) | set(reweighted)
-    ):
-        if index not in dirty:
-            return None  # inconsistent bookkeeping; fall back safely
-        arena = patch_arena(
-            arena,
-            index,
-            removed_edges=removed.get(index, ()),
-            added_edges=added.get(index, ()),
-            reweighted=reweighted.get(index, ()),
-        )
-    return arena
 
 
 def resolve_incremental(
@@ -508,13 +428,12 @@ def resolve_incremental(
                 "or create the state with solve_state(..., version=...)"
             )
         delta = delta.delta_since(state.version)
+    if not isinstance(delta, GraphDelta):
+        raise InvalidInstanceError(
+            "resolve_incremental needs a GraphDelta (or MutableHypergraph)"
+        )
     base = state.snapshot
     config = state.config
-    if base is None or config is None or not isinstance(delta, GraphDelta):
-        raise InvalidInstanceError(
-            "resolve_incremental needs a solve_state(...) handle and a "
-            "GraphDelta (or MutableHypergraph)"
-        )
     mutated = apply_delta(base, delta)
     if mutated.rank != base.rank or mutated.max_degree != base.max_degree:
         # The cached fragments were solved under the base ambient
@@ -576,18 +495,10 @@ def resolve_incremental(
         return fresh
 
     pinned = config.pinned(mutated.rank, mutated.max_degree)
-    arena = None
-    if solver is None and fragments:
-        arena = _patched_arena(state, delta, fragments, dirty)
-        if arena is None:
-            arena = pack_arena(
-                [fragment.instance for fragment in fragments]
-            )
     results = _run_jobs(
         [(fragments[index].instance, pinned) for index in dirty],
         lane=lane,
         solver=solver,
-        arena=slice_arena(arena, dirty) if arena is not None else None,
     )
     for index, result in zip(dirty, results):
         fragments[index] = replace(fragments[index], result=result)
@@ -601,5 +512,4 @@ def resolve_incremental(
         version=delta.version,
         fragments=tuple(fragments),
         result=replace(merged, warm=True, invalidated=invalidated),
-        arena=arena,
     )

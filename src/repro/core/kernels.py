@@ -69,7 +69,6 @@ from repro.core.lockstep import INIT_EXCHANGE_ROUNDS, phase_a_round
 from repro.core.numeric import exact_scaled_int
 from repro.core.params import AlgorithmConfig, distinct_alphas
 from repro.core.result import AlgorithmStats
-from repro.core.state import SolveState
 from repro.core.vertex_logic import (
     is_tight_scaled,
     tight_threshold_scaled,
@@ -888,7 +887,7 @@ class LaneRun:
         # -- per-instance bookkeeping ---------------------------------
         self.active = _np.ones(self.count, dtype=bool)
         self.spilled: set[int] = set()
-        self.carries_out: dict[int, SolveState] = {}
+        self.carries_out: dict[int, dict] = {}
         self._spilled_this_sweep: list[int] = []
         self.iterations = [0] * self.count
         # Resumed instances pick their iteration/round accounting up
@@ -1284,18 +1283,19 @@ class LaneRun:
             instance, sweep - 1
         )
 
-    def _extract_carry(self, instance: int, iterations: int) -> SolveState:
+    def _extract_carry(self, instance: int, iterations: int) -> dict:
         """The instance's exact sweep-start state, lane-neutral.
 
-        Value arrays cross the lane boundary as Python ints (limb
-        tuples reconstruct, int64 words widen losslessly), so any wider
-        lane — or the scalar big-int loop — can resume from iteration
-        ``iterations`` with identical bits.
+        A plain dict of Python data.  Value arrays cross the lane
+        boundary as Python ints (limb tuples reconstruct, int64 words
+        widen losslessly), so any wider lane — or the scalar big-int
+        loop — can resume from iteration ``iterations`` with identical
+        bits.
         """
         ops = self.ops
         vertex_slice = self.arena.vertex_slice(instance)
         edge_slice = self.arena.edge_slice(instance)
-        return SolveState(
+        return dict(
             scale=self.scales[instance],
             bid=ops.tolist_slice(self.bid, edge_slice),
             raised=ops.tolist_slice(self.raised, edge_slice),
@@ -1319,7 +1319,7 @@ class LaneRun:
     # Main loop
     # ------------------------------------------------------------------
 
-    def solve(self) -> tuple[dict[int, dict], dict[int, SolveState]]:
+    def solve(self) -> tuple[dict[int, dict], dict[int, dict]]:
         """Run the arena to completion.
 
         Returns ``(solved, carries)``: per-position raw results for

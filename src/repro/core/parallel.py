@@ -66,7 +66,12 @@ from types import SimpleNamespace
 
 from repro.core.batch import run_fastpath_batch
 from repro.core.faults import FaultPlan
-from repro.core.kernels import LANE_TABLE, MACHINE_LANES, lane_eligibility
+from repro.core.kernels import (
+    HAS_NUMPY,
+    LANE_TABLE,
+    MACHINE_LANES,
+    lane_eligibility,
+)
 from repro.core.params import AlgorithmConfig, resolve_alpha
 from repro.core.result import AlgorithmStats, CoverResult
 from repro.exceptions import ArenaTransportError, WorkerResultError
@@ -113,10 +118,11 @@ FAULT_PLAN: FaultPlan | None = None
 #: Relative per-cell sweep cost of the big-int loop, which has no row
 #: in the machine lanes' table (each of those carries its own
 #: ``cost_factor``): a per-object interpreter floor
-#: (``_BIGINT_BASE_FACTOR``) plus width-proportional arithmetic —
-#: ``int`` multiplication cost grows with operand bits, so an instance
-#: whose weights span tens of thousands of bits is slower *per cell*
-#: by orders of magnitude, not by a constant.
+#: (``_BIGINT_BASE_FACTOR``, priced against the machine lanes, so
+#: charged only when numpy runs them) plus width-proportional
+#: arithmetic — ``int`` multiplication cost grows with operand bits,
+#: so an instance whose weights span tens of thousands of bits is
+#: slower *per cell* by orders of magnitude, not by a constant.
 _BIGINT_BASE_FACTOR = 8
 _BIGINT_WIDTH_DIVISOR = 512
 
@@ -159,7 +165,10 @@ def _lane_cost_factor(lane: str, hypergraph: Hypergraph) -> int:
         ),
         default=1,
     )
-    return _BIGINT_BASE_FACTOR + width // _BIGINT_WIDTH_DIVISOR
+    # Without numpy every instance takes the big-int loop, so the floor
+    # separates nothing and only the width term tells instances apart.
+    floor = _BIGINT_BASE_FACTOR if HAS_NUMPY else 1
+    return floor + width // _BIGINT_WIDTH_DIVISOR
 
 
 def estimated_cost(

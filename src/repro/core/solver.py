@@ -139,7 +139,6 @@ def solve_mwhvc_batch(
     *,
     config: AlgorithmConfig | None = None,
     verify: bool = True,
-    batched: bool = True,
     jobs: int = 1,
     stream: bool = False,
 ) -> list[CoverResult]:
@@ -162,11 +161,6 @@ def solve_mwhvc_batch(
         As in :func:`solve_mwhvc`; the single config applies to every
         instance (rank-derived quantities like ``beta`` and ``z`` are
         still per-instance).
-    batched:
-        When ``False``, run the instances sequentially through the
-        fastpath executor instead of the arena (a debugging/reference
-        mode; the results are identical either way).  Arena execution
-        also degrades to this path when numpy is unavailable.
     jobs:
         Number of worker processes (see :mod:`repro.core.parallel`):
         ``1`` (the default) runs the arena in-process, ``N > 1``
@@ -193,29 +187,11 @@ def solve_mwhvc_batch(
     if config is None:
         config = AlgorithmConfig(epsilon=Fraction(epsilon))
     if stream:
-        if not batched:
-            raise InvalidInstanceError(
-                "stream applies to the batched executor only — drop "
-                "batched=False/--sequential or the stream flag"
-            )
         from repro.core.stream import BatchSession
 
         with BatchSession(config=config, jobs=jobs, verify=verify) as session:
             tickets = [session.submit(hypergraph) for hypergraph in hypergraphs]
             return [ticket.result() for ticket in tickets]
-    if not batched:
-        if jobs != 1:
-            # Silently running the reference loop single-core under a
-            # jobs= request would corrupt any timing comparison built
-            # on it — the combination is contradictory, so reject it.
-            raise InvalidInstanceError(
-                "jobs applies to the batched executor only — drop "
-                "batched=False/--sequential or use jobs=1"
-            )
-        return [
-            run_fastpath(hypergraph, config, verify=verify)
-            for hypergraph in hypergraphs
-        ]
     if jobs == 1:
         return run_fastpath_batch(hypergraphs, config, verify=verify)
     from repro.core.parallel import run_fastpath_batch_parallel

@@ -1,84 +1,40 @@
-"""Public solve state: the lane-neutral carry, now a first-class object.
+"""Public solve state: the warm-restart handle of an incremental solve.
 
-PR 4 built an exact mid-run *carry* so an instance spilling out of a
-machine lane's headroom could resume on a wider lane from the same
-iteration with identical bits.  That carry — scaled duals, levels, live
-sets, iteration offsets — is exactly the state a *warm restart* needs,
-so this module promotes it from an ad-hoc dict to :class:`SolveState`.
-
-The same class doubles as the session-level warm-restart handle for the
-incremental re-solve pipeline (:mod:`repro.core.incremental`): there the
-carry fields stay ``None`` and the snapshot/config/fragment fields hold
-the decomposed result of the previous solve.  Both uses are lane- and
-process-neutral Python data.
-
-``SolveState`` supports ``state["key"]`` item access as an alias for
-attribute access, so the existing spill plumbing (and its tests), which
-treated carries as plain dicts, keeps working unchanged.
+:func:`repro.core.incremental.solve_state` decomposes a snapshot into
+connected-component fragments and returns a :class:`SolveState`;
+:func:`repro.core.incremental.resolve_incremental` consumes one and
+returns the next.  The handle is lane- and process-neutral Python
+data: the snapshot, its config and version, the fragments with their
+cached standalone results, and the merged result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from repro.core.incremental import Fragment
     from repro.core.params import AlgorithmConfig
     from repro.core.result import CoverResult
     from repro.hypergraph import Hypergraph
-    from repro.hypergraph.csr import BatchArena
 
 __all__ = ["SolveState"]
 
 
 @dataclass
 class SolveState:
-    """Exact resumable solver state, lane-neutral.
+    """A finished solve decomposed into fragments, ready to re-solve.
 
-    Two layers share this type:
-
-    * **Spill carry** (kernel layer): the first fifteen fields are an
-      instance's exact sweep-start state extracted by
-      :meth:`LaneRun._extract_carry`.  Value arrays cross the lane
-      boundary as Python ints (two-limb pairs reconstruct, int64 words
-      widen losslessly), so any wider lane — or the scalar big-int
-      loop — resumes from iteration ``iterations`` with identical bits.
-    * **Warm-restart handle** (session layer): ``snapshot`` / ``config``
-      / ``version`` / ``fragments`` / ``result`` describe a finished
-      solve decomposed by :func:`repro.core.incremental.solve_state`;
-      :func:`repro.core.incremental.resolve_incremental` consumes them.
-
-    A given instance populates one layer and leaves the other ``None``.
+    ``snapshot`` is the solved instance and ``config`` its (unpinned)
+    config; ``version`` ties the state to a
+    :class:`~repro.hypergraph.MutableHypergraph` history (``None``
+    when untracked).  ``fragments`` holds each component's cached
+    standalone solve, and ``result`` is the merged monolithic result.
     """
 
-    # -- spill-carry fields (lane layer) -------------------------------
-    scale: int | None = None
-    bid: list | None = None
-    raised: list | None = None
-    delta: list | None = None
-    total_delta: list | None = None
-    level: list | None = None
-    in_cover: list | None = None
-    dead: list | None = None
-    uncovered_count: list | None = None
-    covered: list | None = None
-    raise_count: list | None = None
-    halving_count: list | None = None
-    stuck: list | None = None
-    halt_round: int | None = None
-    iterations: int | None = None
-
-    # -- warm-restart fields (session layer) ---------------------------
-    snapshot: "Hypergraph | None" = None
-    config: "AlgorithmConfig | None" = None
-    version: int | None = None
-    fragments: tuple = ()
-    result: "CoverResult | None" = None
-    arena: "BatchArena | None" = field(default=None, repr=False)
-
-    def __getitem__(self, key: str) -> Any:
-        """Dict-style access; carries were plain dicts before PR 8."""
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
+    snapshot: Hypergraph
+    config: AlgorithmConfig
+    version: int | None
+    fragments: tuple[Fragment, ...]
+    result: CoverResult

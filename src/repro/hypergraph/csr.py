@@ -35,7 +35,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from repro.exceptions import InvalidInstanceError
 from repro.hypergraph.hypergraph import Hypergraph
 
 try:  # pragma: no cover - exercised implicitly by either branch
@@ -49,7 +48,6 @@ __all__ = [
     "vertex_incidence_csr",
     "BatchArena",
     "pack_arena",
-    "patch_arena",
     "slice_arena",
     "arena_incidence",
     "arena_hypergraphs",
@@ -298,135 +296,6 @@ def slice_arena(arena: BatchArena, indices: Sequence[int]) -> BatchArena:
     )
 
 
-def patch_arena(
-    arena: BatchArena,
-    instance: int,
-    *,
-    removed_edges: Sequence[int] = (),
-    added_edges: Sequence[Sequence[int]] = (),
-    added_weights: Sequence[int | Fraction] = (),
-    reweighted: Sequence[tuple[int, int | Fraction]] = (),
-) -> BatchArena:
-    """Apply a single-instance delta to a packed arena without re-packing.
-
-    Returns an arena ``==`` to the one :func:`pack_arena` would build
-    for the same instance list with instance ``instance`` mutated —
-    every value, including cell order; its slabs are tuples —
-    assembled directly from the packed
-    representation (the :func:`slice_arena` idiom): the prefix
-    instances copy verbatim, the target keeps its surviving rows in
-    order with cells unshifted and appends the new rows, and the
-    suffix shifts by the net vertex/edge growth in one pass.
-
-    ``removed_edges`` are positions in the instance's local edge order;
-    ``added_edges`` are local-vertex member tuples appended after the
-    survivors; ``added_weights`` appends new vertices to the instance;
-    ``reweighted`` is ``(local vertex, new weight)`` pairs.
-    """
-    if not 0 <= instance < arena.num_instances:
-        raise InvalidInstanceError(
-            f"instance {instance} outside 0..{arena.num_instances - 1}"
-        )
-    vertex_lo = arena.vertex_offset[instance]
-    vertex_hi = arena.vertex_offset[instance + 1]
-    edge_lo = arena.edge_offset[instance]
-    edge_hi = arena.edge_offset[instance + 1]
-    local_edges = edge_hi - edge_lo
-    local_vertices = (vertex_hi - vertex_lo) + len(added_weights)
-    membership = CSRLayout(
-        lengths=_plain(arena.membership.lengths),
-        starts=_plain(arena.membership.starts),
-        cells=_plain(arena.membership.cells),
-    )
-
-    removed: set[int] = set()
-    for position in removed_edges:
-        if not 0 <= position < local_edges:
-            raise InvalidInstanceError(
-                f"removed edge position {position!r} outside "
-                f"0..{local_edges - 1}"
-            )
-        if position in removed:
-            raise InvalidInstanceError(
-                f"edge position {position} removed twice"
-            )
-        removed.add(position)
-    new_rows: list[tuple[int, ...]] = []
-    for raw_members in added_edges:
-        members = tuple(sorted(raw_members))
-        if not members or len(set(members)) != len(members):
-            raise InvalidInstanceError(
-                f"added hyperedge must be non-empty and duplicate-free, "
-                f"got {raw_members!r}"
-            )
-        if not all(0 <= vertex < local_vertices for vertex in members):
-            raise InvalidInstanceError(
-                f"added hyperedge {raw_members!r} references a vertex "
-                f"outside 0..{local_vertices - 1}"
-            )
-        new_rows.append(members)
-
-    grown_vertices = len(added_weights)
-    grown_edges = len(new_rows) - len(removed)
-    vertex_offset = list(arena.vertex_offset)
-    edge_offset = list(arena.edge_offset)
-    for index in range(instance + 1, arena.num_instances + 1):
-        vertex_offset[index] += grown_vertices
-        edge_offset[index] += grown_edges
-
-    weights = list(arena.weights[:vertex_hi])
-    weights.extend(added_weights)
-    for vertex, weight in reweighted:
-        if not 0 <= vertex < local_vertices:
-            raise InvalidInstanceError(
-                f"reweighted vertex {vertex!r} outside "
-                f"0..{local_vertices - 1}"
-            )
-        weights[vertex_lo + vertex] = weight
-    weights.extend(arena.weights[vertex_hi:])
-
-    total_edges = len(membership.lengths)
-    cell_lo = (
-        membership.starts[edge_lo]
-        if edge_lo < total_edges
-        else len(membership.cells)
-    )
-    cell_hi = (
-        membership.starts[edge_hi]
-        if edge_hi < total_edges
-        else len(membership.cells)
-    )
-    lengths = list(membership.lengths[:edge_lo])
-    cells = list(membership.cells[:cell_lo])
-    for local in range(local_edges):
-        if local in removed:
-            continue
-        row = edge_lo + local
-        lengths.append(membership.lengths[row])
-        start = membership.starts[row]
-        cells.extend(
-            membership.cells[start : start + membership.lengths[row]]
-        )
-    for members in new_rows:
-        lengths.append(len(members))
-        cells.extend(vertex_lo + vertex for vertex in members)
-    lengths.extend(membership.lengths[edge_hi:])
-    cells.extend(
-        cell + grown_vertices for cell in membership.cells[cell_hi:]
-    )
-    return BatchArena(
-        num_instances=arena.num_instances,
-        vertex_offset=tuple(vertex_offset),
-        edge_offset=tuple(edge_offset),
-        weights=tuple(weights),
-        membership=CSRLayout(
-            lengths=tuple(lengths),
-            starts=_starts_of(lengths),
-            cells=tuple(cells),
-        ),
-    )
-
-
 def arena_hypergraphs(arena: BatchArena) -> list[Hypergraph]:
     """Reconstruct the packed instances — the inverse of :func:`pack_arena`.
 
@@ -514,7 +383,7 @@ def pack_arena(hypergraphs: Sequence[Hypergraph]) -> BatchArena:
     arrays, the pass concatenates instance arrays (converting any
     tuple-only member once) and the structural slabs are ``int64``
     arrays — what the kernel lanes read.  Otherwise the slabs are the
-    plain tuples :func:`slice_arena` and :func:`patch_arena` build.
+    plain tuples :func:`slice_arena` builds.
     """
     if _np is not None and any(
         hypergraph._cells is not None for hypergraph in hypergraphs

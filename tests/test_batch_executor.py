@@ -24,7 +24,7 @@ import repro.core.batch as batch_module
 import repro.core.kernels as kernels_module
 from repro.baselines.registry import this_work_batch, this_work_fastpath
 from repro.core.batch import arena_eligibility, run_fastpath_batch
-from repro.core.fastpath import HAS_NUMPY
+from repro.core.fastpath import HAS_NUMPY, run_fastpath
 from repro.core.params import AlgorithmConfig
 from repro.core.solver import solve_mwhvc, solve_mwhvc_batch
 from repro.hypergraph.csr import (
@@ -222,10 +222,13 @@ def test_no_numpy_fallback_is_bit_identical(monkeypatch):
 
 
 def test_batched_false_runs_sequential_reference():
+    """The sequential reference is a loop of solo ``run_fastpath``
+    runs, and the batch equals it instance by instance."""
     config = AlgorithmConfig(epsilon=Fraction(1, 3))
     batch = random_batch(3, base_seed=8)
     arena = solve_mwhvc_batch(batch, config=config)
-    sequential = solve_mwhvc_batch(batch, config=config, batched=False)
+    sequential = [run_fastpath(hypergraph, config) for hypergraph in batch]
+    assert len(arena) == len(sequential)
     for left, right in zip(arena, sequential):
         for attribute in OBSERVABLES:
             assert getattr(left, attribute) == getattr(right, attribute)
@@ -355,13 +358,18 @@ def test_cli_batch_subcommand(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "batch: 3 instances" in output
     assert "instance0.hg" in output
-    assert main(["batch", str(tmp_path), "--json", "--sequential"]) == 0
+    assert main(["batch", str(tmp_path), "--json"]) == 0
     import json
 
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 3
     assert len(payload["instances"]) == 3
     assert payload["instances"][0]["file"] == "instance0.hg"
+    # Each row equals the solo fastpath result of its file.
+    config = AlgorithmConfig()
+    for row in payload["instances"]:
+        solo = run_fastpath(io.load(tmp_path / row.pop("file")), config)
+        assert row == solo.as_dict()
     # Errors: missing directory and empty glob exit with code 2.
     assert main(["batch", str(tmp_path / "missing")]) == 2
     assert main(["batch", str(tmp_path), "--pattern", "*.none"]) == 2

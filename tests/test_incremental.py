@@ -1,21 +1,18 @@
 """Dynamic hypergraphs: mutation layer + warm-restart incremental solve.
 
-Three layers under test:
+Two layers under test:
 
 * **store** — :class:`~repro.hypergraph.MutableHypergraph` is a
   versioned delta log over immutable snapshots: eager validation,
   exact coalescing (``delta_since``), and
   ``apply_delta(snapshot_at_v, delta_since(v)) == snapshot()``;
-* **CSR deltas** — :func:`~repro.hypergraph.csr.patch_arena` applies a
-  delta to a packed arena in place and must be bit-identical to
-  re-packing the mutated instances;
 * **incremental solve** — the central differential gate:
   :func:`~repro.core.incremental.resolve_incremental` must produce a
   :class:`~repro.core.result.CoverResult` **equal on every compared
   field** to a from-scratch ``run_fastpath`` of the mutated snapshot —
   warm or cold, across every arithmetic lane, including forced
   mid-resume spills — while ``warm``/``invalidated`` report honestly
-  which path ran.
+  which path ran, and a warm update never packs a clean fragment.
 
 The serving tier on top (``BatchSession.submit_update``) is covered
 here too; the TCP verbs live in ``tests/test_server.py``.
@@ -28,14 +25,15 @@ from fractions import Fraction
 
 import pytest
 
+import repro.core.batch as batch_module
+import repro.core.incremental as incremental_module
 import repro.core.kernels as kernels_module
-from repro.core.fastpath import run_fastpath
+from repro.core.fastpath import HAS_NUMPY, run_fastpath
 from repro.core.incremental import resolve_incremental, solve_state
 from repro.core.parallel import COST_MODEL, CostModel, shutdown_pool
 from repro.core.params import AlgorithmConfig
 from repro.core.stream import BatchSession
 from repro.exceptions import InvalidInstanceError, TicketCancelled
-from repro.hypergraph.csr import pack_arena, patch_arena, arena_hypergraphs
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.mutable import (
     GraphDelta,
@@ -177,92 +175,6 @@ def test_touched_vertices_covers_every_mutation_kind():
 
 
 # ----------------------------------------------------------------------
-# CSR delta application
-# ----------------------------------------------------------------------
-
-
-def test_patch_arena_matches_repack():
-    rng = random.Random(23)
-    for trial in range(25):
-        instances = []
-        for index in range(rng.randint(1, 4)):
-            n = rng.randint(2, 7)
-            m = rng.randint(1, 6)
-            edges = [
-                tuple(
-                    sorted(
-                        rng.sample(range(n), rng.randint(1, min(3, n)))
-                    )
-                )
-                for _ in range(m)
-            ]
-            weights = [rng.randint(1, 9) for _ in range(n)]
-            instances.append(Hypergraph(n, edges, weights))
-        arena = pack_arena(instances)
-        target = rng.randrange(len(instances))
-        victim = instances[target]
-        removed = sorted(
-            rng.sample(
-                range(victim.num_edges),
-                rng.randint(0, victim.num_edges - 1),
-            )
-        )
-        added = [
-            tuple(
-                sorted(
-                    rng.sample(
-                        range(victim.num_vertices),
-                        rng.randint(1, min(3, victim.num_vertices)),
-                    )
-                )
-            )
-            for _ in range(rng.randint(0, 2))
-        ]
-        reweighted = [
-            (vertex, rng.randint(1, 9))
-            for vertex in rng.sample(
-                range(victim.num_vertices),
-                rng.randint(0, victim.num_vertices),
-            )
-        ]
-        patched = patch_arena(
-            arena,
-            target,
-            removed_edges=removed,
-            added_edges=added,
-            reweighted=reweighted,
-        )
-        keep = [
-            position
-            for position in range(victim.num_edges)
-            if position not in removed
-        ]
-        new_weights = list(victim.weights)
-        for vertex, weight in reweighted:
-            new_weights[vertex] = weight
-        mutated = Hypergraph(
-            victim.num_vertices,
-            [victim.edge(position) for position in keep] + added,
-            new_weights,
-        )
-        expected_instances = list(instances)
-        expected_instances[target] = mutated
-        expected = pack_arena(expected_instances)
-        for field in (
-            "num_instances",
-            "vertex_offset",
-            "edge_offset",
-            "weights",
-            "membership",
-        ):
-            assert getattr(patched, field) == getattr(expected, field), (
-                f"trial {trial}: patch_arena drifted from re-pack "
-                f"on {field}"
-            )
-        assert arena_hypergraphs(patched) == expected_instances
-
-
-# ----------------------------------------------------------------------
 # The differential gate: incremental == from-scratch, bit for bit
 # ----------------------------------------------------------------------
 
@@ -372,6 +284,55 @@ def test_vertex_addition_joins_the_isolated_fragment():
     follow = GraphDelta(added_edges=((0, base.num_vertices),))
     state = resolve_incremental(state, follow)
     assert state.result == run_fastpath(apply_delta(mutated, follow), config)
+
+
+def test_warm_update_never_handles_a_clean_fragment(monkeypatch):
+    """A warm update hands the arena helpers at most its dirty
+    fragments: the clean ones keep their cached results and are never
+    packed, sliced or patched."""
+    paths = [
+        (4 * block + offset, 4 * block + offset + 1)
+        for block in range(6)
+        for offset in range(3)
+    ]
+    hub = [(24, leaf) for leaf in range(25, 29)]  # pins Δ = 4
+    base = Hypergraph(
+        29, paths + hub, [1 + (7 * vertex) % 11 for vertex in range(29)]
+    )
+    config = AlgorithmConfig(epsilon="1/2")
+    state = solve_state(base, config)
+    calls: list[tuple[str, int]] = []
+
+    def recording(name, helper):
+        def wrapper(first, *args, **kwargs):
+            size = getattr(first, "num_instances", None)
+            calls.append((name, len(first) if size is None else size))
+            return helper(first, *args, **kwargs)
+
+        return wrapper
+
+    # patch_arena is listed so an arena-delta helper cannot slip in.
+    for module in (incremental_module, batch_module, kernels_module):
+        for name in ("pack_arena", "slice_arena", "patch_arena"):
+            if hasattr(module, name):
+                monkeypatch.setattr(
+                    module, name, recording(name, getattr(module, name))
+                )
+    # (a) Cutting a path's middle edge splits it into two dirty
+    # fragments; (b) a reweight dirties one.
+    steps = [
+        (GraphDelta(removed_edges=(1,)), 2, 2),
+        (GraphDelta(reweighted=((5, 13),)), 1, 3),
+    ]
+    for delta, dirty, invalidated in steps:
+        calls.clear()
+        mutated = apply_delta(state.snapshot, delta)
+        state = resolve_incremental(state, delta)
+        assert state.result == run_fastpath(mutated, config)
+        assert state.result.warm is True
+        assert state.result.invalidated == invalidated
+        assert all(size <= dirty for _, size in calls), calls
+        assert calls or not HAS_NUMPY  # the lanes packed the dirty ones
 
 
 @pytest.mark.parametrize("lane", LANES)

@@ -235,24 +235,6 @@ def test_parallel_degenerate_batches():
     assert_parallel_matches_sequential(mixed, config, jobs=2)
 
 
-def test_sequential_reference_mode_rejects_jobs(tmp_path, capsys):
-    """``batched=False`` + ``jobs>1`` is contradictory (it would
-    silently single-core a timing reference) and must error."""
-    from repro.cli import main
-    from repro.exceptions import InvalidInstanceError
-    from repro.hypergraph import io
-
-    config = AlgorithmConfig(epsilon=Fraction(1, 3))
-    batch = random_batch(2)
-    with pytest.raises(InvalidInstanceError):
-        solve_mwhvc_batch(batch, config=config, batched=False, jobs=2)
-    io.save(batch[0], tmp_path / "one.hg")
-    assert main(
-        ["batch", str(tmp_path), "--sequential", "--jobs", "2"]
-    ) == 2
-    assert "jobs" in capsys.readouterr().err
-
-
 def test_parallel_jobs_zero_means_machine_sized():
     """``jobs=0`` resolves to the CPU count (>= 1) and stays exact."""
     config = AlgorithmConfig(epsilon=Fraction(1, 3))

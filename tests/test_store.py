@@ -905,8 +905,7 @@ def test_cli_serve_store_resolves_ids(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--jobs", "2"], ["--stream"], ["--stream", "--jobs", "2"],
-     ["--sequential"]],
+    [["--jobs", "2"], ["--stream"], ["--stream", "--jobs", "2"]],
 )
 def test_cli_batch_store_rejects_dispatch_flags(tmp_path, capsys, flags):
     """``batch --store`` solves in-process segment by segment; a flag it

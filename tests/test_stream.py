@@ -41,7 +41,6 @@ from repro.core.solver import solve_mwhvc, solve_mwhvc_batch
 from repro.core.stream import BatchSession, replay_schedule
 from repro.core.supervisor import SupervisorPolicy
 from repro.exceptions import (
-    InvalidInstanceError,
     SessionClosedError,
     TicketCancelled,
     TicketTimeout,
@@ -532,10 +531,6 @@ def test_solve_mwhvc_batch_stream_flag():
     for left, right in zip(streamed, static):
         for attribute in OBSERVABLES:
             assert getattr(left, attribute) == getattr(right, attribute)
-    with pytest.raises(InvalidInstanceError):
-        solve_mwhvc_batch(
-            batch, config=config, batched=False, stream=True
-        )
 
 
 def test_run_many_stream_routing():
@@ -568,10 +563,6 @@ def test_cli_batch_stream_flag(tmp_path, capsys):
     for left, right in zip(static["instances"], streamed["instances"]):
         assert left["cover"] == right["cover"]
         assert left["dual_total"] == right["dual_total"]
-    # --stream + --sequential is contradictory and must error.
-    assert main(
-        ["batch", str(tmp_path), "--stream", "--sequential"]
-    ) == 2
 
 
 def test_cli_serve_streams_stdin(tmp_path, capsys, monkeypatch):
