@@ -62,7 +62,7 @@ from repro.core.lockstep import (
     empty_instance_rounds,
     phase_a_round,
 )
-from repro.core.numeric import exact_scaled_int, scaled_fraction
+from repro.core.numeric import exact_scaled_int
 from repro.core.observer import IterationObserver, IterationSnapshot
 from repro.core.params import AlgorithmConfig, resolve_alpha
 from repro.core.result import AlgorithmStats, CoverResult
@@ -501,7 +501,7 @@ def finalize_lane_instance(
         rounds=raw["rounds"],
         metrics=None,
         verify=verify,
-        dual_total=scaled_fraction(sum(delta), scale),
+        dual_total=Fraction(sum(delta), scale),
         lane=lane,
     )
 
@@ -906,6 +906,6 @@ def _run_bigint(
         rounds=max_halt_round,
         metrics=None,
         verify=verify,
-        dual_total=scaled_fraction(sum(delta), scale),
+        dual_total=Fraction(sum(delta), scale),
         lane="bigint",
     )

@@ -22,13 +22,10 @@ worker     ``("slow", factor)``         the worker solves correctly
                                         but takes ``factor`` times as
                                         long — a straggler, not a
                                         failure
-ship       ``"detach"``                 the shared-memory segment is
-                                        unlinked after shipping; the
-                                        worker's attach fails with a
-                                        typed transport error
-ship       ``"corrupt"``                a byte of the shipped buffer
-                                        is flipped; the arena checksum
-                                        rejects it worker-side
+ship       ``"corrupt"``                an inline shipment carries a
+                                        copy of the container with its
+                                        frame checksum flipped; the
+                                        worker's decode refuses it
 dispatch   duplicate                    the shard is dispatched twice;
                                         the late copy must dedup away
                                         (first-wins settle)
@@ -84,17 +81,15 @@ __all__ = ["FaultPlan"]
 #: stacked when drawing (kill first, then hang, then slow).
 WORKER_FAULTS = ("kill", "hang", "slow")
 
-#: Ship-site fault kinds (applied to the shared-memory transport
-#: block after the payload is built; a pickle-transport shard has no
-#: segment to damage, so ship faults silently skip it).
-SHIP_FAULTS = ("detach", "corrupt")
+#: Ship-site fault kinds (applied to an inline shipment's container
+#: before submit; a shard shipped by file reference draws none).
+SHIP_FAULTS = ("corrupt",)
 
 #: Server-site fault kinds (applied per response write).
 SERVER_FAULTS = ("drop", "reset")
 
 _RATE_KEYS = (
-    "kill", "hang", "slow", "detach", "corrupt", "duplicate",
-    "drop", "reset",
+    "kill", "hang", "slow", "corrupt", "duplicate", "drop", "reset",
 )
 
 
@@ -109,9 +104,9 @@ class FaultPlan:
     kill / hang / slow:
         Per-dispatch probabilities of the worker-site faults (at most
         one fires per dispatch; their sum must be <= 1).
-    detach / corrupt:
-        Per-ship probabilities of damaging the shared-memory transport
-        (at most one per ship).
+    corrupt:
+        Per-ship probability of shipping a damaged container (inline
+        shipments only).
     duplicate:
         Per-dispatch probability of dispatching the shard twice.
     drop / reset:
@@ -135,7 +130,6 @@ class FaultPlan:
         kill: float = 0.0,
         hang: float = 0.0,
         slow: float = 0.0,
-        detach: float = 0.0,
         corrupt: float = 0.0,
         duplicate: float = 0.0,
         drop: float = 0.0,
@@ -145,8 +139,7 @@ class FaultPlan:
         max_faults: int | None = None,
     ):
         rates = {
-            "kill": kill, "hang": hang, "slow": slow,
-            "detach": detach, "corrupt": corrupt,
+            "kill": kill, "hang": hang, "slow": slow, "corrupt": corrupt,
             "duplicate": duplicate, "drop": drop, "reset": reset,
         }
         for name, rate in rates.items():
@@ -158,10 +151,6 @@ class FaultPlan:
             raise ValueError(
                 f"worker fault rates sum to {kill + hang + slow}, "
                 f"must be <= 1"
-            )
-        if detach + corrupt > 1.0 + 1e-12:
-            raise ValueError(
-                f"ship fault rates sum to {detach + corrupt}, must be <= 1"
             )
         if drop + reset > 1.0 + 1e-12:
             raise ValueError(
@@ -194,7 +183,7 @@ class FaultPlan:
     def from_spec(cls, spec: str) -> "FaultPlan":
         """Parse a ``key=value,key=value`` plan (the CLI flag grammar).
 
-        Keys: ``seed``, ``max_faults`` (ints), the eight fault rates,
+        Keys: ``seed``, ``max_faults`` (ints), the seven fault rates,
         ``hang_seconds`` and ``slow_factor`` (floats).  Example:
         ``"seed=3,kill=0.05,hang=0.02,slow=0.1,hang_seconds=2"``.
         """
@@ -242,7 +231,7 @@ class FaultPlan:
             self._forced_worker.append(directive)
 
     def force_ship(self, kind: str) -> None:
-        """Enqueue one exact ship fault for the next shm transport."""
+        """Enqueue one exact ship fault for the next inline shipment."""
         if kind not in SHIP_FAULTS:
             raise ValueError(f"unknown ship fault {kind!r}")
         with self._lock:
@@ -299,7 +288,7 @@ class FaultPlan:
             return None
 
     def ship_fault(self) -> str | None:
-        """``"detach"``, ``"corrupt"`` or ``None`` for the next ship."""
+        """``"corrupt"`` or ``None`` for the next inline shipment."""
         with self._lock:
             if self._forced_ship:
                 kind = self._forced_ship.popleft()

@@ -55,6 +55,7 @@ from repro.core.batch import run_ladder
 from repro.core.fastpath import run_fastpath
 from repro.core.params import AlgorithmConfig
 from repro.core.result import AlgorithmStats, CoverResult
+from repro.core.runner import finalize_result
 from repro.core.state import SolveState
 from repro.exceptions import InvalidInstanceError
 from repro.hypergraph.hypergraph import Hypergraph
@@ -63,7 +64,6 @@ from repro.hypergraph.mutable import (
     MutableHypergraph,
     apply_delta,
 )
-from repro.lp.duality import ApproximationCertificate
 from repro.lp.scaled import ScaledDual
 
 try:  # pragma: no cover - exercised implicitly by either branch
@@ -247,15 +247,15 @@ def _merge(
     loop runs until its slowest component finishes), duals and levels
     scatter through the local-to-global maps, and the alpha span ranges
     over fragments that have edges (an edgeless fragment's default span
-    must not pollute the merged one).  The certificate is computed
-    fresh on the full graph — fragment-level certificates would each
-    certify against the pinned global ``f`` anyway.
+    must not pollute the merged one).  :func:`finalize_result` computes
+    the weight and the certificate fresh on the full graph —
+    fragment-level certificates would each certify against the pinned
+    global ``f`` anyway.
     """
     cover: set[int] = set()
     levels = [0] * hypergraph.num_vertices
     iterations = 0
     rounds = 0
-    weight: int | Fraction = 0
     total_raises = 0
     max_raises = 0
     total_stuck = 0
@@ -268,7 +268,6 @@ def _merge(
         result = fragment.result
         iterations = max(iterations, result.iterations)
         rounds = max(rounds, result.rounds)
-        weight = weight + result.weight
         for local in result.cover:
             cover.add(fragment.vertices[local])
         for local, level in enumerate(result.levels):
@@ -291,8 +290,6 @@ def _merge(
                 if alpha_max is None
                 else max(alpha_max, result.alpha_max)
             )
-    if alpha_min is None:
-        alpha_min = alpha_max = Fraction(2)
     # One ScaledDual over the lcm of the fragments' scales: numerators
     # lifted and scattered, no Fraction built.
     scale = lcm(*(fragment.result.dual.scale for fragment in fragments))
@@ -302,28 +299,11 @@ def _merge(
         factor = scale // dual.scale
         for edge_id, numerator in zip(fragment.edge_ids, dual.numerators):
             numerators[edge_id] = numerator * factor
-    dual = ScaledDual(scale, numerators)
-    dual_total = Fraction(sum(numerators), scale)
-    chosen = frozenset(cover)
-    certificate = None
-    if verify:
-        certificate = ApproximationCertificate.verify(
-            hypergraph,
-            chosen,
-            dual,
-            max(1, hypergraph.rank),
-            config.epsilon,
-        )
-    return CoverResult(
-        cover=chosen,
-        weight=weight,
-        rank=hypergraph.rank,
-        epsilon=config.epsilon,
-        iterations=iterations,
-        rounds=rounds,
-        dual=dual,
-        dual_total=dual_total,
-        certificate=certificate,
+    return finalize_result(
+        hypergraph,
+        config,
+        cover=frozenset(cover),
+        dual=ScaledDual(scale, numerators),
         levels=tuple(levels),
         stats=AlgorithmStats(
             total_raise_events=total_raises,
@@ -334,9 +314,12 @@ def _merge(
             max_level=max_level,
             level_cap=config.z(hypergraph.rank),
         ),
+        alpha=[] if alpha_min is None else [alpha_min, alpha_max],
+        iterations=iterations,
+        rounds=rounds,
         metrics=None,
-        alpha_min=alpha_min,
-        alpha_max=alpha_max,
+        verify=verify,
+        dual_total=Fraction(sum(numerators), scale),
     )
 
 

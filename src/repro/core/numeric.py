@@ -11,47 +11,17 @@ and every invariant in Section 4 is checked with zero rounding error.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from numbers import Rational
 
 from repro.exceptions import AlgorithmError, InvalidInstanceError
-from repro.lp.scaled import _probe_fraction_slots
 
 __all__ = [
     "parse_epsilon",
     "parse_rational",
     "ceil_log2_fraction",
     "half_power",
-    "scaled_fraction",
     "exact_scaled_int",
 ]
-
-#: Whether this interpreter supports the slot-layout fast path.
-_HAS_FRACTION_SLOTS = _probe_fraction_slots()
-
-
-def scaled_fraction(numerator: int, scale: int) -> Fraction:
-    """``Fraction(numerator, scale)`` for a known-positive ``scale``.
-
-    The scaled-integer executors turn numerator-over-scale pairs (the
-    packing total, the observer's running total) back into Fractions,
-    and the generic :class:`Fraction` constructor spends most of that
-    time re-validating its operands.  This helper performs exactly the
-    same normalization (divide by the gcd; ``scale > 0`` so no sign
-    fixup) through the slot layout ``fractions`` itself uses
-    internally, producing canonically equal values at a fraction of
-    the cost.  If the one-time
-    :func:`~repro.lp.scaled._probe_fraction_slots` capability check
-    failed (a CPython internals change), it falls back to the public
-    constructor — slower, never wrong.
-    """
-    if not _HAS_FRACTION_SLOTS:
-        return Fraction(numerator, scale)
-    divisor = gcd(numerator, scale)
-    value = object.__new__(Fraction)
-    value._numerator = numerator // divisor
-    value._denominator = scale // divisor
-    return value
 
 
 def exact_scaled_int(value: Rational | int, scale: int) -> int:

@@ -23,15 +23,11 @@ submission order.  Parallelism is purely an execution detail:
   :class:`CostModel` folds into a live correction table (keyed by lane
   + structure signature) consulted on the next call — the feedback
   loop that keeps systematic misestimates from recurring;
-* **shared-memory transport** — a shard crosses the process boundary
-  as one arena container (:func:`repro.hypergraph.store.encode_arena`:
-  structure and weights, a CRC per section) in a
-  ``multiprocessing.shared_memory`` block, avoiding the pickle of
-  O(nnz) Python object graphs; the config rides in a small pickled
-  header.  Where shared memory is unavailable (or creation fails), the
-  same bytes travel inside the pickled payload instead — identical
-  results, slightly more copying.  A store-backed arena ships as its
-  file's path instead;
+* **inline transport** — a shard crosses the process boundary as one
+  arena container (:func:`repro.hypergraph.store.encode_arena`:
+  structure and weights, a CRC per section) inside the pickled
+  payload, beside the config, instead of as O(nnz) Python object
+  graphs.  A store-backed arena ships as its file's path instead;
 * **bit-identical merging** — every worker runs
   :func:`repro.core.batch.run_fastpath_batch` on its shard, whose
   per-instance contract is already "identical to a solo fastpath run",
@@ -80,11 +76,6 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.store import decode_arena, encode_arena, load_arena
 from repro.lp.scaled import ScaledDual, raw_fraction_list
 
-try:  # pragma: no cover - absent only on exotic builds
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None
-
 __all__ = [
     "COST_MODEL",
     "FAULT_PLAN",
@@ -97,12 +88,8 @@ __all__ = [
     "run_fastpath_batch_parallel",
     "shard_payload",
     "ship_arena",
-    "ship_buffer",
     "shutdown_pool",
 ]
-
-#: Test hook: force the pickle transport even when shared memory works.
-_FORCE_PICKLE = False
 
 #: Optional :class:`~repro.core.faults.FaultPlan` handed to the
 #: session behind every :func:`run_fastpath_batch_parallel` call, where
@@ -541,25 +528,6 @@ def _decode_result(wire: tuple, worker: int) -> CoverResult:
 # ----------------------------------------------------------------------
 
 
-#: Where POSIX shared-memory segments surface as files.  Workers read
-#: a segment's payload straight from this directory instead of
-#: attaching a ``SharedMemory`` handle: attaching would (re-)register
-#: the parent-owned segment with a resource tracker, which either
-#: double-unregisters under ``fork`` (parent and child share one
-#: tracker) or warns about "leaks" under ``spawn`` — the plain read
-#: has no tracker interaction at all.  Shared-memory transport is only
-#: selected when this directory exists; elsewhere the pickle fallback
-#: carries the same buffer.
-_SHM_DIR = "/dev/shm"
-
-
-def _attach_shm_bytes(name: str, size: int) -> bytes:
-    """Read a parent-owned shared-memory segment's payload."""
-    path = os.path.join(_SHM_DIR, name.lstrip("/"))
-    with open(path, "rb") as handle:
-        return handle.read(size)
-
-
 #: Ceiling on the extra stall a ``slow`` fault directive may add, so a
 #: misconfigured factor on a heavy shard cannot wedge a soak.
 _SLOW_FAULT_CAP_SECONDS = 10.0
@@ -591,18 +559,17 @@ def _solve_shard(
 ) -> tuple[int, list[tuple], list[float], bool]:
     """Worker entry point: solve one shard with the in-process executor.
 
-    The payload carries the shard's arena container (by shared-memory
-    name, inline bytes or store file path), the config, and
-    the parent's lane budgets — shipping the budgets keeps parent
-    and workers agreeing on lane admission even when tests shrink them
-    to force spills.  Results return in the compact wire format of
-    :func:`_encode_result`, alongside per-instance observed solve
-    times: the shard's measured wall time apportioned by
-    :func:`observed_work` (actual lane, actual iterations), which the
-    parent feeds into :data:`COST_MODEL` — unless the trailing
-    ``faulted`` flag is set, meaning an injected fault directive
-    distorted this shard's wall time and its observations must not
-    poison the model.
+    The payload carries the shard's arena container (inline bytes or
+    a store file path), the config, and the parent's lane budgets —
+    shipping the budgets keeps parent and workers agreeing on lane
+    admission even when tests shrink them to force spills.  Results
+    return in the compact wire format of :func:`_encode_result`,
+    alongside per-instance observed solve times: the shard's measured
+    wall time apportioned by :func:`observed_work` (actual lane, actual
+    iterations), which the parent feeds into :data:`COST_MODEL` —
+    unless the trailing ``faulted`` flag is set, meaning an injected
+    fault directive distorted this shard's wall time and its
+    observations must not poison the model.
 
     Two optional payload fields serve the chaos/supervision layer: a
     ``fault`` directive from a :class:`~repro.core.faults.FaultPlan`
@@ -612,7 +579,7 @@ def _solve_shard(
     on pickup and then touches as the solver advances (through the
     ``kernels._BEAT`` hook), so the parent's supervisor can tell a long
     solve from a stalled one and kill *this* process when it stalls.
-    A vanished shared-memory segment or container file raises a typed
+    A vanished container file raises a typed
     :class:`~repro.exceptions.ArenaTransportError`, and a corrupted
     container an :class:`~repro.exceptions.ArenaStoreError`; the parent
     treats both as recoverable transport faults.
@@ -634,35 +601,23 @@ def _solve_shard(
     kernels_module._BEAT = _beater(heartbeat) if heartbeat else None
     if directive is not None and directive[0] == "hang":
         time.sleep(directive[1])
-    kind, *details = payload["transport"]
+    kind, container = payload["transport"]
     if kind == "file":
         # Store-backed shard: the worker re-opens and re-validates the
         # container itself (mmap, zero-copy) instead of receiving a
-        # /dev/shm copy of slabs already durable on a shared
-        # filesystem.  A vanished file is a transport accident like a
-        # vanished shm segment; a damaged one raises ArenaStoreError,
-        # which the parent's recovery treats identically.
+        # copy of slabs already durable on a shared filesystem.  A
+        # vanished file is a transport accident; a damaged one raises
+        # ArenaStoreError, which the parent's recovery treats
+        # identically.
         try:
-            arena = load_arena(details[0], mmap=True)
+            arena = load_arena(container, mmap=True)
         except OSError as error:
             raise ArenaTransportError(
-                f"arena container {details[0]!r} vanished before the "
+                f"arena container {container!r} vanished before the "
                 f"worker could map it: {error}"
             ) from error
     else:
-        if kind == "shm":
-            try:
-                buffer = _attach_shm_bytes(*details)
-            except OSError as error:
-                raise ArenaTransportError(
-                    f"shared-memory segment {details[0]!r} vanished before "
-                    f"the worker could read it: {error}"
-                ) from error
-        else:
-            buffer = details[0]
-        # ``buffer`` is this worker's own copy of the segment, so the
-        # decoded views cannot change under the solve.
-        arena = decode_arena(buffer)
+        arena = decode_arena(container)
     # The instances are reconstructed for per-instance metadata only
     # (iteration-0 state preparation, finalization); the executor
     # consumes the shipped arena itself, slicing the per-lane
@@ -774,58 +729,31 @@ def _resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def ship_buffer(buffer: bytes):
-    """Choose a transport for one encoded arena container.
-
-    Returns ``(transport, shm_block | None)``: a shared-memory segment
-    holding the buffer when available (the caller owns the block and
-    must ``close()``/``unlink()`` it once the worker is done), else the
-    buffer rides inside the pickled payload.
-    """
-    if (
-        shared_memory is not None
-        and not _FORCE_PICKLE
-        and os.path.isdir(_SHM_DIR)
-    ):
-        try:
-            block = shared_memory.SharedMemory(
-                create=True, size=max(1, len(buffer))
-            )
-            block.buf[: len(buffer)] = buffer
-            return ("shm", block.name, len(buffer)), block
-        except OSError:  # pragma: no cover - e.g. /dev/shm exhausted
-            pass
-    return ("bytes", buffer), None
-
-
-def ship_arena(arena):
+def ship_arena(arena) -> tuple[str, object]:
     """Choose a transport for one packed arena.
 
     A store-backed arena (``arena.source`` naming a container file that
     still exists, from :func:`repro.hypergraph.store.load_arena`) ships
-    **by file reference**: workers on the same filesystem re-map the
-    durable container themselves, so nothing is serialized and nothing
-    is copied into ``/dev/shm``.  Anything else — a freshly packed
-    arena, a sliced sub-arena (slicing drops provenance), a source
-    whose file has since been deleted — falls back to
-    :func:`ship_buffer` over its
-    :func:`~repro.hypergraph.store.encode_arena` container.
-
-    Returns ``(transport, shm_block | None)`` like :func:`ship_buffer`;
-    file transports never own a block.
+    **by file reference**, ``("file", path)``: workers on the same
+    filesystem re-map the durable container themselves, so nothing is
+    serialized.  Anything else — a freshly packed arena, a sliced
+    sub-arena (slicing drops provenance), a source whose file has since
+    been deleted — ships **inline**, ``("bytes", container)``: its
+    :func:`~repro.hypergraph.store.encode_arena` container rides inside
+    the pickled payload.
     """
     source = getattr(arena, "source", None)
     path = getattr(source, "path", None)
-    if path is not None and not _FORCE_PICKLE and os.path.isfile(path):
-        return ("file", path), None
-    return ship_buffer(encode_arena(arena))
+    if path is not None and os.path.isfile(path):
+        return ("file", path)
+    return ("bytes", encode_arena(arena))
 
 
-def shard_payload(arena, shard, config, verify, *, fault=None):
+def shard_payload(arena, shard, config, verify, *, fault=None) -> dict:
     """Build one :func:`_solve_shard` payload for an already-packed arena.
 
-    Returns ``(payload, shm_block|None)``.  The parent's lane budgets
-    (every :data:`~repro.core.kernels.LANE_TABLE` row's headroom and
+    The parent's lane budgets (every
+    :data:`~repro.core.kernels.LANE_TABLE` row's headroom and
     multiplier bits) are snapshotted into the payload at call time so
     workers always agree with the caller on lane admission (tests
     shrink the budgets to force spills inside workers).  ``fault`` is
@@ -835,10 +763,9 @@ def shard_payload(arena, shard, config, verify, *, fault=None):
     the streaming session (:mod:`repro.core.stream`), the only code
     that submits to the pool.
     """
-    transport, block = ship_arena(arena)
     return {
         "shard": shard,
-        "transport": transport,
+        "transport": ship_arena(arena),
         "config": config,
         "verify": verify,
         "budgets": {
@@ -846,7 +773,7 @@ def shard_payload(arena, shard, config, verify, *, fault=None):
             for name, row in LANE_TABLE.items()
         },
         "fault": fault,
-    }, block
+    }
 
 
 def run_fastpath_batch_parallel(

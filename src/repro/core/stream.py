@@ -40,8 +40,11 @@ step, stealing off), so both paths share the supervision below.
 * **resilience** — a crashed worker (the pool breaks), a hung worker
   (killed by the :class:`~repro.core.supervisor.WorkerSupervisor` once
   its heartbeat has been still for a cost-model-derived solve
-  deadline) or a damaged transport (typed
-  :class:`~repro.exceptions.TransportError`) sends the shard back
+  deadline) or a damaged shipment (typed
+  :class:`~repro.exceptions.TransportError`: a vanished container
+  file, a container that fails its checksums, a malformed result;
+  shards ship inline in the pickled payload or by file reference)
+  sends the shard back
   through the normal steal scheduler with capped exponential backoff,
   up to a bounded per-shard retry budget;
   exhaustion falls back to an in-process re-solve, and a circuit
@@ -115,32 +118,6 @@ from repro.hypergraph.mutable import (
 )
 
 __all__ = ["BatchSession", "StreamTicket", "replay_schedule"]
-
-
-def _release_block(block, on_error=None) -> None:
-    """Close and unlink one shared-memory transport block (if any).
-
-    ``FileNotFoundError`` (segment already unlinked, e.g. a duplicate
-    release after pool churn) and ``BufferError`` (an exported
-    memoryview still alive; the mapping is reclaimed at process exit)
-    are expected and benign.  Anything *else* is reported through
-    ``on_error`` instead of raised: this runs on the pool's collector
-    thread, where an escaped exception would silently kill completion
-    callbacks — and silently swallowing it would hide a real resource
-    leak.  The session surfaces such errors in its schedule log and
-    ``stats["cleanup_errors"]``.
-    """
-    if block is None:
-        return
-    for step in (block.close, block.unlink):
-        try:
-            step()
-        except (FileNotFoundError, BufferError):  # pragma: no cover
-            pass
-        except Exception as error:
-            if on_error is not None:
-                on_error(step.__name__, error)
-            return
 
 
 class StreamTicket:
@@ -420,7 +397,6 @@ class BatchSession:
             "splits": 0,
             "crashes": 0,
             "duplicates": 0,
-            "cleanup_errors": 0,
             "cancelled": 0,
             "timeouts": 0,
             "callback_errors": 0,
@@ -443,16 +419,6 @@ class BatchSession:
     def _log(self, *event) -> None:
         if self._record:
             self.schedule.append(event)
-
-    def _cleanup_error(self, step: str, error: BaseException) -> None:
-        """Surface an unexpected shared-memory release failure.
-
-        Counted and logged (``("cleanup-error", step, repr)``) rather
-        than raised — see :func:`_release_block`.
-        """
-        with self._lock:
-            self.stats["cleanup_errors"] += 1
-            self._log("cleanup-error", step, repr(error))
 
     # ------------------------------------------------------------------
     # Context manager / lifecycle
@@ -584,8 +550,8 @@ class BatchSession:
         arena object itself, so a store-backed arena keeps its
         :class:`~repro.hypergraph.store.ArenaSource` provenance and
         :func:`~repro.core.parallel.ship_arena` ships it to workers by
-        file reference (no serialize, no ``/dev/shm`` copy; the worker
-        re-maps the container).  Instances are reconstructed only for
+        file reference (nothing serialized; the worker re-maps the
+        container).  Instances are reconstructed only for
         ticket metadata and the in-process fallback paths.
 
         Returns one :class:`StreamTicket` per arena instance, in arena
@@ -988,26 +954,6 @@ class BatchSession:
             return 0.0
         return float(shard.cost)
 
-    @staticmethod
-    def _sabotage_block(block, kind: str) -> None:
-        """Apply one ship fault to a shared-memory transport block.
-
-        ``"detach"`` unlinks the segment so the worker's read fails
-        with a typed :class:`~repro.exceptions.ArenaTransportError`;
-        ``"corrupt"`` flips a byte of the container frame's header
-        CRC, so the worker's decode raises
-        :class:`~repro.exceptions.ArenaStoreError`.  Both are
-        recoverable transport faults, never silent corruption.
-        """
-        if kind == "detach":
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-            return
-        index = min(16, block.size - 1)
-        block.buf[index] = block.buf[index] ^ 0x5A
-
     def _dispatch(self, slot: int, shard: _Shard) -> None:
         """Ship one shard to the pool; falls back in-process when the
         pool cannot accept work or the circuit breaker is open."""
@@ -1027,23 +973,29 @@ class BatchSession:
             return
         plan = self.fault_plan
         directive = plan.worker_fault() if plan is not None else None
-        block = None
         try:
             pool = parallel._get_pool(self._jobs)
-            payload, block = shard_payload(
+            payload = shard_payload(
                 shard.arena, shard.id, shard.config, self._verify,
                 fault=directive,
             )
             payload["heartbeat"] = self._supervisor.heartbeat_path(shard.id)
+            kind, container = payload["transport"]
             ship = None
-            if plan is not None and block is not None:
+            if plan is not None and kind == "bytes":
                 ship = plan.ship_fault()
+            if ship is not None:
+                # A "corrupt" shipment carries a copy of the container
+                # with byte 16, the frame checksum, flipped: the
+                # worker's decode refuses it with ArenaStoreError.
+                damaged = bytearray(container)
+                damaged[16] ^= 0x5A
+                payload["transport"] = (kind, bytes(damaged))
             future = pool.submit(_solve_shard, payload)
         except BaseException:
             # The pool refused the work (broken mid-rebuild,
             # interpreter shutting down): solving in-process keeps the
             # ticket contract intact.
-            _release_block(block, self._cleanup_error)
             self._loads[slot] -= shard.cost
             self._solve_inline(shard)
             return
@@ -1051,13 +1003,8 @@ class BatchSession:
             self.stats["injected"] += 1
             self._log("inject", shard.id, ("worker",) + tuple(directive))
         if ship is not None:
-            # Damage the transport *after* submit: the worker races
-            # its read against the sabotage either way, and both
-            # outcomes (clean read or typed transport error) preserve
-            # the ticket contract.
             self.stats["injected"] += 1
             self._log("inject", shard.id, ("ship", ship))
-            self._sabotage_block(block, ship)
         self._inflight[slot] = shard
         self._supervisor.watch(
             slot, shard.id, pool, self._predicted_seconds(shard)
@@ -1067,37 +1014,34 @@ class BatchSession:
             tuple(ticket.id for ticket in shard.entries),
         )
         future.add_done_callback(
-            lambda done, slot=slot, shard=shard, block=block, pool=pool:
-            self._on_done(slot, shard, block, pool, done)
+            lambda done, slot=slot, shard=shard, pool=pool:
+            self._on_done(slot, shard, pool, done)
         )
         if plan is not None and plan.duplicate_fault():
             # Deterministic "steal racing completion": the same shard
             # solved a second time; the late copy must dedup away.
             self.stats["injected"] += 1
             self._log("inject", shard.id, ("dispatch", "duplicate"))
-            dup_block = None
             try:
-                dup_payload, dup_block = shard_payload(
-                    shard.arena, shard.id, shard.config, self._verify
+                dup_future = pool.submit(
+                    _solve_shard,
+                    shard_payload(
+                        shard.arena, shard.id, shard.config, self._verify
+                    ),
                 )
-                dup_future = pool.submit(_solve_shard, dup_payload)
             except BaseException:
-                _release_block(dup_block, self._cleanup_error)
                 return
             dup_future.add_done_callback(
-                lambda done, slot=slot, shard=shard, block=dup_block,
-                pool=pool:
-                self._on_done(slot, shard, block, pool, done,
-                              occupies=False)
+                lambda done, slot=slot, shard=shard, pool=pool:
+                self._on_done(slot, shard, pool, done, occupies=False)
             )
 
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
 
-    def _on_done(self, slot, shard, block, pool, future, *, occupies=True):
+    def _on_done(self, slot, shard, pool, future, *, occupies=True):
         """Completion callback (runs on the pool's collector thread)."""
-        _release_block(block, self._cleanup_error)
         if occupies:
             self._supervisor.done(slot, shard.id)
         faulted = False
@@ -1115,9 +1059,9 @@ class BatchSession:
             # surface the scheduling accident to the ticket.
             outcome, payload = "broken", None
         except TransportError as error:
-            # A vanished/corrupted arena segment or a malformed result
-            # payload: the worker is alive but this shard's bytes
-            # cannot be trusted.  Recoverable — retry through the
+            # A vanished/corrupted arena container or a malformed
+            # result payload: the worker is alive but this shard's
+            # bytes cannot be trusted.  Recoverable — retry through the
             # scheduler without tearing the pool down.
             outcome, payload = "transport", error
         except BaseException as error:  # algorithm errors, propagated
@@ -1383,7 +1327,6 @@ def replay_schedule(
         ("evict",    ticket_id)
         ("cancel",   ticket_id, stage)
         ("timeout",  ticket_id, stage)
-        ("cleanup-error", step_name, error_repr)
         ("callback-error", ticket_id, error_repr)
 
     Replay solves every executed group — each ``dispatch`` and each

@@ -65,9 +65,9 @@ class ArenaTransportError(TransportError):
     """A shipped CSR arena could not be read at all.
 
     Raised by the worker entry point
-    (:func:`repro.core.parallel._solve_shard`) when the shared-memory
-    segment or the container file backing its shard vanished before
-    the worker could read it.  Bytes that arrive damaged raise
+    (:func:`repro.core.parallel._solve_shard`) when the container file
+    a shard ships by reference vanished before the worker could map
+    it.  Bytes that arrive damaged, inline or on disk, raise
     :class:`ArenaStoreError` instead, from the container decoder.
     """
 

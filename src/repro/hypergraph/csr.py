@@ -167,7 +167,7 @@ class BatchArena:
     #: Excluded from equality — a loaded arena must compare equal to
     #: the freshly packed arena it round-tripped from — and consulted
     #: by the multiprocess transport, which ships a file-backed arena
-    #: to workers *by reference* instead of copying it into ``/dev/shm``
+    #: to workers *by reference* instead of inline in the payload
     #: (workers re-validate the container themselves).
     source: object | None = field(default=None, compare=False, repr=False)
 

@@ -47,6 +47,50 @@ def _normalized_weight(weight, what: str) -> int | Fraction:
     return weight
 
 
+def _normalized_edge(
+    members: Iterable[int],
+    num_vertices: int,
+    what: str,
+    edge_id: int | None = None,
+) -> tuple[int, ...]:
+    """Validate one hyperedge and return it as a sorted tuple.
+
+    ``what`` names the edge in errors, followed by ``edge_id`` when
+    given.  Vertex types are checked first, so a stray type raises
+    typed instead of breaking the sort; then the edge must be
+    non-empty, its vertices distinct and in ``0..num_vertices - 1``.
+    """
+    raw = tuple(members)
+    for vertex in raw:
+        if type(vertex) is not int and (
+            not isinstance(vertex, int) or isinstance(vertex, bool)
+        ):
+            raise InvalidInstanceError(
+                f"{_edge_label(what, edge_id)} has non-int vertex {vertex!r}"
+            )
+    edge = tuple(sorted(raw))
+    if not edge:
+        raise InfeasibleInstanceError(
+            f"{_edge_label(what, edge_id)} is empty and can never be covered"
+        )
+    if len(set(edge)) != len(edge):
+        raise InvalidInstanceError(
+            f"{_edge_label(what, edge_id)} contains duplicate vertices: "
+            f"{raw!r}"
+        )
+    if edge[0] < 0 or edge[-1] >= num_vertices:
+        vertex = next(v for v in edge if not 0 <= v < num_vertices)
+        raise InvalidInstanceError(
+            f"{_edge_label(what, edge_id)} references vertex {vertex} "
+            f"outside 0..{num_vertices - 1}"
+        )
+    return edge
+
+
+def _edge_label(what: str, edge_id: int | None) -> str:
+    return what if edge_id is None else f"{what} {edge_id}"
+
+
 def _normalized_weights(
     num_vertices: int, weights: Optional[Sequence[int]]
 ) -> tuple[tuple, bool]:
@@ -167,29 +211,10 @@ class Hypergraph:
             )
         self._num_vertices = num_vertices
 
-        normalized_edges: list[tuple[int, ...]] = []
-        for edge_id, raw_edge in enumerate(edges):
-            members = tuple(sorted(raw_edge))
-            if not members:
-                raise InfeasibleInstanceError(
-                    f"hyperedge {edge_id} is empty and can never be covered"
-                )
-            if len(set(members)) != len(members):
-                raise InvalidInstanceError(
-                    f"hyperedge {edge_id} contains duplicate vertices: {raw_edge!r}"
-                )
-            for vertex in members:
-                if not isinstance(vertex, int) or isinstance(vertex, bool):
-                    raise InvalidInstanceError(
-                        f"hyperedge {edge_id} has non-int vertex {vertex!r}"
-                    )
-                if not 0 <= vertex < num_vertices:
-                    raise InvalidInstanceError(
-                        f"hyperedge {edge_id} references vertex {vertex} "
-                        f"outside 0..{num_vertices - 1}"
-                    )
-            normalized_edges.append(members)
-        self._edges = tuple(normalized_edges)
+        self._edges = tuple(
+            _normalized_edge(raw_edge, num_vertices, "hyperedge", edge_id)
+            for edge_id, raw_edge in enumerate(edges)
+        )
 
         self._weights, all_int = _normalized_weights(num_vertices, weights)
         self._derive_structure()

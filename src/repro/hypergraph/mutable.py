@@ -29,8 +29,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
-from repro.hypergraph.hypergraph import Hypergraph, _normalized_weight
+from repro.exceptions import InvalidInstanceError
+from repro.hypergraph.hypergraph import (
+    Hypergraph,
+    _normalized_edge,
+    _normalized_weight,
+)
 
 __all__ = ["GraphDelta", "MutableHypergraph", "apply_delta"]
 
@@ -163,26 +167,7 @@ def apply_delta(base: Hypergraph, delta: GraphDelta) -> Hypergraph:
     else:
         edges = list(base.edges)
     for members in delta.added_edges:
-        edge = tuple(sorted(members))
-        if not edge:
-            raise InfeasibleInstanceError(
-                "added hyperedge is empty and can never be covered"
-            )
-        if len(set(edge)) != len(edge):
-            raise InvalidInstanceError(
-                f"added hyperedge contains duplicate vertices: {members!r}"
-            )
-        for vertex in edge:
-            if not isinstance(vertex, int) or isinstance(vertex, bool):
-                raise InvalidInstanceError(
-                    f"added hyperedge has non-int vertex {vertex!r}"
-                )
-            if not 0 <= vertex < num_vertices:
-                raise InvalidInstanceError(
-                    f"added hyperedge references vertex {vertex} outside "
-                    f"0..{num_vertices - 1}"
-                )
-        edges.append(edge)
+        edges.append(_normalized_edge(members, num_vertices, "added hyperedge"))
     return Hypergraph._from_validated(
         num_vertices, tuple(edges), tuple(weights)
     )
@@ -287,23 +272,7 @@ class MutableHypergraph:
 
     def add_edge(self, members: Iterable[int]) -> int:
         """Insert a hyperedge; returns its current position (end)."""
-        edge = tuple(sorted(members))
-        if not edge:
-            raise InvalidInstanceError("hyperedge must be non-empty")
-        if len(set(edge)) != len(edge):
-            raise InvalidInstanceError(
-                f"hyperedge contains duplicate vertices: {members!r}"
-            )
-        for vertex in edge:
-            if not isinstance(vertex, int) or isinstance(vertex, bool):
-                raise InvalidInstanceError(
-                    f"hyperedge has non-int vertex {vertex!r}"
-                )
-            if not 0 <= vertex < len(self._weights):
-                raise InvalidInstanceError(
-                    f"hyperedge references vertex {vertex} outside "
-                    f"0..{len(self._weights) - 1}"
-                )
+        edge = _normalized_edge(members, len(self._weights), "hyperedge")
         uid = self._next_uid
         self._next_uid += 1
         self._members[uid] = edge

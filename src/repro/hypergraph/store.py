@@ -39,8 +39,8 @@ repeats or disorders its vertex ids, or reaches outside its own
 instance — raises a typed
 :class:`~repro.exceptions.ArenaStoreError` (under
 :class:`~repro.exceptions.TransportError`, so the serving stack's
-recovery paths treat a damaged file and a damaged shared-memory
-shipment alike: a recoverable fault, never silent corruption).
+recovery paths treat a damaged file and a damaged shipment alike:
+a recoverable fault, never silent corruption).
 
 Weights are exact rationals and have no fixed-width form; the weights
 section therefore has two encodings, chosen per arena: ``int64`` when
@@ -142,8 +142,8 @@ class ArenaSource:
     Attached as :attr:`BatchArena.source` by :func:`load_arena`.  The
     multiprocess transport (:func:`repro.core.parallel.ship_arena`)
     uses ``path`` to ship the arena to workers **by file reference**
-    instead of copying the slabs into ``/dev/shm`` — workers on the
-    same filesystem re-open and re-validate the container themselves.
+    instead of inline in the payload — workers on the same filesystem
+    re-open and re-validate the container themselves.
     ``buffer`` holds the mapped buffer of an ``mmap=True`` load (kept
     referenced so the views stay valid; ``None`` for copying loads),
     and tests use it to pin that the structural arrays really are

@@ -25,9 +25,8 @@ __all__ = ["ScaledDual"]
 def _probe_fraction_slots() -> bool:
     """Whether Fractions built by filling CPython's private
     ``_numerator`` / ``_denominator`` slots behave exactly like the
-    constructor's (:func:`raw_fraction_list` and
-    :mod:`repro.core.numeric` build them that way); if not, every
-    caller falls back to the constructor: slower, never wrong."""
+    constructor's (:func:`raw_fraction_list` builds them that way); if
+    not, it falls back to the constructor: slower, never wrong."""
     try:
         value = object.__new__(Fraction)
         value._numerator = 3

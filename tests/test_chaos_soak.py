@@ -11,9 +11,9 @@ the rules inject deterministically:
 * worker hangs (the supervisor's heartbeat deadline SIGKILLs the stuck
   process, converting the hang into the crash path);
 * slow workers (straggle, excluded from the cost model's EMA);
-* shared-memory sabotage between ship and attach (detach / corrupt —
-  the arena integrity header rejects the damaged buffer with a typed
-  transport error and the shard is reclaimed);
+* corrupt shipments (a copy of the container with its frame checksum
+  flipped — the worker's decode refuses it with a typed transport
+  error and the shard is reclaimed);
 * duplicate dispatches (first-wins settling).
 
 After every wait — and for every ticket at teardown — the streamed
@@ -125,7 +125,6 @@ class ChaosSoakMachine(RuleBasedStateMachine):
             kill=0.06,
             hang=0.04,
             slow=0.10,
-            detach=0.05,
             corrupt=0.05,
             duplicate=0.10,
             hang_seconds=20.0,  # supervisor cuts this at its deadline

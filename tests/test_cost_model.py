@@ -18,10 +18,7 @@ These tests pin the two-part fix:
   times, folded into :data:`~repro.core.parallel.COST_MODEL` (an EMA
   of seconds-per-cost-unit keyed by lane + structure signature) that
   :func:`~repro.core.parallel.corrected_cost` consults, for both the
-  static sharded executor and the streaming session;
-* the **cleanup-error surfacing** — unexpected shared-memory release
-  failures land in the session's schedule log and stats instead of
-  being swallowed (or killing the collector thread).
+  static sharded executor and the streaming session.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from fractions import Fraction
 
 import pytest
 
-import repro.core.stream as stream_module
 from repro.core.batch import run_fastpath_batch
 from repro.core.fastpath import HAS_NUMPY
 from repro.core.params import AlgorithmConfig
@@ -46,7 +42,7 @@ from repro.core.parallel import (
     run_fastpath_batch_parallel,
     shutdown_pool,
 )
-from repro.core.stream import BatchSession, _release_block
+from repro.core.stream import BatchSession
 from repro.hypergraph.generators import (
     mixed_rank_hypergraph,
     regular_hypergraph,
@@ -332,76 +328,3 @@ def test_stream_session_feeds_cost_model():
     # observations; any pooled completion must have fed the model.
     if any(result.worker is not None for result in results):
         assert COST_MODEL.snapshot()
-
-
-# ----------------------------------------------------------------------
-# Shared-memory cleanup-error surfacing
-# ----------------------------------------------------------------------
-
-
-class _Block:
-    def __init__(self, close_error=None, unlink_error=None):
-        self.closed = self.unlinked = False
-        self._close_error = close_error
-        self._unlink_error = unlink_error
-
-    def close(self):
-        if self._close_error is not None:
-            raise self._close_error
-        self.closed = True
-
-    def unlink(self):
-        if self._unlink_error is not None:
-            raise self._unlink_error
-        self.unlinked = True
-
-
-def test_release_block_benign_errors_stay_silent():
-    errors = []
-    _release_block(None, errors.append)
-    # Already-unlinked segments and exported views are expected.
-    _release_block(
-        _Block(unlink_error=FileNotFoundError("gone")),
-        lambda step, error: errors.append((step, error)),
-    )
-    _release_block(
-        _Block(close_error=BufferError("exported")),
-        lambda step, error: errors.append((step, error)),
-    )
-    assert errors == []
-
-
-def test_release_block_close_failure_still_unlinks():
-    block = _Block(close_error=BufferError("exported"))
-    _release_block(block)
-    assert block.unlinked
-
-
-def test_session_surfaces_unexpected_cleanup_errors():
-    session = BatchSession(jobs=1)
-    try:
-        block = _Block(close_error=OSError("shm corrupted"))
-        _release_block(block, session._cleanup_error)
-        assert session.stats["cleanup_errors"] == 1
-        events = [
-            event for event in session.schedule
-            if event[0] == "cleanup-error"
-        ]
-        assert events and events[0][1] == "close"
-        assert "shm corrupted" in events[0][2]
-        # The failing step aborts the release; nothing half-done after.
-        assert not block.unlinked
-    finally:
-        session.close()
-
-
-def test_stream_module_exports_narrowed_release():
-    """The broad swallow is gone: unexpected errors propagate to the
-    handler, never silently vanish."""
-    seen = []
-    _release_block(
-        _Block(unlink_error=RuntimeError("boom")),
-        lambda step, error: seen.append((step, type(error).__name__)),
-    )
-    assert seen == [("unlink", "RuntimeError")]
-    assert stream_module.BatchSession is BatchSession

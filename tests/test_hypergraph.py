@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.mutable import GraphDelta, MutableHypergraph, apply_delta
 
 
 class TestConstruction:
@@ -83,6 +84,50 @@ class TestConstruction:
     def test_boolean_weight_rejected(self):
         with pytest.raises(InvalidInstanceError):
             Hypergraph(2, [(0, 1)], weights=[True, 1])
+
+
+def _construct(edge):
+    return Hypergraph(3, [(0, 1), edge])
+
+
+def _add_edge(edge):
+    return MutableHypergraph(Hypergraph(3, [(0, 1)])).add_edge(edge)
+
+
+def _apply_delta(edge):
+    return apply_delta(
+        Hypergraph(3, [(0, 1)]), GraphDelta(added_edges=(edge,))
+    )
+
+
+@pytest.mark.parametrize(
+    "door", [_construct, _add_edge, _apply_delta],
+    ids=["constructor", "add_edge", "apply_delta"],
+)
+@pytest.mark.parametrize(
+    "edge, error",
+    [
+        ((0, "a"), InvalidInstanceError),
+        ((2, None), InvalidInstanceError),
+        ((1, 0.5), InvalidInstanceError),
+        ((True, 1), InvalidInstanceError),
+        ((), InfeasibleInstanceError),
+        ((2, 0, 2), InvalidInstanceError),
+        ((0, 3), InvalidInstanceError),
+        ((-1, 0), InvalidInstanceError),
+    ],
+    ids=[
+        "str-vertex", "none-vertex", "float-vertex", "bool-vertex",
+        "empty", "duplicate", "above-range", "below-range",
+    ],
+)
+def test_every_edge_door_raises_the_same_typed_error(door, edge, error):
+    """The constructor, ``MutableHypergraph.add_edge`` and
+    ``apply_delta`` share one edge check: the same bad edge raises the
+    same exception class at each, never a raw ``TypeError``."""
+    with pytest.raises(InvalidInstanceError) as caught:
+        door(edge)
+    assert type(caught.value) is error
 
 
 class TestParameters:

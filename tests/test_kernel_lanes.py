@@ -20,7 +20,8 @@ tests pin:
   ``(False, reason)`` instead of raising for instances it cannot
   bound, and the whole executor matrix stays exact on rational
   weights;
-* the ``scaled_fraction`` capability probe: when the CPython slot
+* the Fraction slot capability probe behind
+  :func:`~repro.lp.scaled.raw_fraction_list`: when the CPython slot
   layout fast path is unavailable, results degrade to the public
   constructor, never to wrong values;
 * the limb arithmetic itself (both limb lanes, one ``LimbOps`` class),
@@ -39,11 +40,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.kernels as kernels_module
-import repro.core.numeric as numeric_module
+import repro.lp.scaled as scaled_module
 from repro.core.batch import arena_eligibility
 from repro.core.fastpath import HAS_NUMPY, prepare_scaled_state, run_fastpath
 from repro.core.kernels import ThreeLimbOps, TwoLimbOps, lane_eligibility
-from repro.core.numeric import scaled_fraction
 from repro.core.params import AlgorithmConfig
 from repro.core.solver import solve_mwhvc, solve_mwhvc_batch
 from repro.exceptions import InvalidInstanceError
@@ -639,20 +639,25 @@ def test_cli_solve_lane_flag(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# scaled_fraction capability probe
+# lp.scaled's Fraction slot capability probe
 # ----------------------------------------------------------------------
 
 
 def test_scaled_fraction_probe_and_fallback(monkeypatch):
-    assert numeric_module._probe_fraction_slots() is True
-    fast = scaled_fraction(6, 4)
-    monkeypatch.setattr(numeric_module, "_HAS_FRACTION_SLOTS", False)
-    slow = scaled_fraction(6, 4)
-    assert fast == slow == Fraction(3, 2)
-    assert slow.numerator == 3 and slow.denominator == 2
+    """``raw_fraction_list`` fills Fraction slots only when the probe
+    passes, and its constructor fallback yields the same values."""
+    assert scaled_module._probe_fraction_slots() is True
+    fast = scaled_module.raw_fraction_list([3, 0, 2], [2, 1, 1])
+    monkeypatch.setattr(scaled_module, "_HAS_FRACTION_SLOTS", False)
+    slow = scaled_module.raw_fraction_list([3, 0, 2], [2, 1, 1])
+    assert fast == slow == [Fraction(3, 2), Fraction(0), Fraction(2)]
+    for left, right in zip(fast, slow):
+        assert (left.numerator, left.denominator) == (
+            right.numerator, right.denominator
+        )
+        assert hash(left) == hash(right)
     # The fallback is the public constructor: fully normalized values.
-    assert scaled_fraction(0, 7) == Fraction(0)
-    assert scaled_fraction(10, 5) == Fraction(2)
+    assert scaled_module.raw_fraction_list([6], [4]) == [Fraction(3, 2)]
 
 
 # ----------------------------------------------------------------------

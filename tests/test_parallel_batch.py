@@ -2,8 +2,8 @@
 
 The multiprocess sharded executor (:mod:`repro.core.parallel`) splits
 a batch into cost-balanced shards, ships each shard's packed CSR arena
-to a persistent worker pool (shared memory when available, pickle
-otherwise) and merges the per-instance results in submission order.
+to a persistent worker pool inline in the pickled payload and merges
+the per-instance results in submission order.
 These tests pin the contract that parallelism is pure transport:
 
 * ``jobs=N`` results — covers, duals, iterations, rounds, levels,
@@ -16,8 +16,7 @@ These tests pin the contract that parallelism is pure transport:
   process boundary;
 * a worker crash breaks the pool, the affected shards are re-solved
   in-process, and the pool is rebuilt for the next call;
-* the shared-memory and pickle transports carry identical bits, and
-  the arena (de)serialization layer round-trips exactly;
+* the arena (de)serialization layer round-trips exactly;
 * sharding is deterministic and cost-balanced, never order-changing;
 * ``CoverResult.worker`` records shard provenance (and is excluded
   from equality, like ``lane``).
@@ -151,7 +150,7 @@ def test_estimated_cost_scales_with_structure():
 
 
 # ----------------------------------------------------------------------
-# Arena serialization (the shared-memory wire format)
+# Arena serialization (the shard wire format)
 # ----------------------------------------------------------------------
 
 
@@ -255,19 +254,8 @@ def test_parallel_verify_modes():
 
 
 # ----------------------------------------------------------------------
-# Transports and failure handling
+# Failure handling
 # ----------------------------------------------------------------------
-
-
-def test_pickle_transport_matches_shared_memory(monkeypatch):
-    config = AlgorithmConfig(epsilon=Fraction(1, 3))
-    batch = random_batch(6, base_seed=4)
-    via_shm = run_fastpath_batch_parallel(batch, config, jobs=2)
-    monkeypatch.setattr(parallel_module, "_FORCE_PICKLE", True)
-    via_pickle = run_fastpath_batch_parallel(batch, config, jobs=2)
-    for left, right in zip(via_shm, via_pickle):
-        for attribute in OBSERVABLES:
-            assert getattr(left, attribute) == getattr(right, attribute)
 
 
 def test_worker_crash_falls_back_to_sequential(monkeypatch):

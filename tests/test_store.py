@@ -729,17 +729,12 @@ def test_catalog_refuses_malformed_manifests(tmp_path):
 def test_store_backed_arena_ships_by_file_reference(tmp_path):
     hypergraphs = random_batch(4, base_seed=2)
     arena, loaded, path = roundtrip(tmp_path, hypergraphs)
-    transport, block = ship_arena(loaded)
-    assert transport == ("file", str(path)) and block is None
-    # A freshly packed arena has no file to reference.
-    fallback, block = ship_arena(arena)
-    assert fallback[0] in ("shm", "bytes")
-    if block is not None:
-        block.close()
-        block.unlink()
-    payload, block = shard_payload(loaded, 0, AlgorithmConfig(), True)
-    assert payload["transport"][0] == "file"
-    assert "weights" not in payload and block is None
+    assert ship_arena(loaded) == ("file", str(path))
+    # A freshly packed arena has no file to reference: it ships inline.
+    assert ship_arena(arena) == ("bytes", encode_arena(arena))
+    payload = shard_payload(loaded, 0, AlgorithmConfig(), True)
+    assert payload["transport"] == ("file", str(path))
+    assert "weights" not in payload
     # The worker entry point maps the container and solves identically.
     shard, encoded, observed, faulted = _solve_shard(payload)
     assert shard == 0 and len(encoded) == len(hypergraphs)
@@ -756,11 +751,7 @@ def test_store_backed_arena_ships_by_file_reference(tmp_path):
 def test_vanished_container_falls_back_to_copy_transport(tmp_path):
     _, loaded, path = roundtrip(tmp_path, random_batch(3))
     path.unlink()
-    transport, block = ship_arena(loaded)
-    assert transport[0] in ("shm", "bytes")
-    if block is not None:
-        block.close()
-        block.unlink()
+    assert ship_arena(loaded) == ("bytes", encode_arena(loaded))
 
 
 # ----------------------------------------------------------------------
