@@ -13,7 +13,7 @@ justify using fastpath for the scaling experiments.  Also reports the
 engine's message statistics for one run, substantiating the CONGEST
 message-width claim on a mid-size instance.
 
-Five hard gates ride along:
+Six hard gates ride along:
 
 * ``test_fastpath_smoke_equality_gate`` — a fast fastpath-vs-lockstep
   differential check sized for CI;
@@ -30,7 +30,12 @@ Five hard gates ride along:
 * ``test_three_limb_speedup_gate`` — on a seeded huge-``beta_den``
   instance that disqualifies both narrower machine lanes, the
   three-limb lane must complete the whole run (no spill to big-int)
-  bit-identically and >= 2x faster than the forced big-int loop.
+  bit-identically and >= 2x faster than the forced big-int loop;
+* ``test_four_limb_speedup_gate`` — on a seeded regular rank-3
+  instance with 10**30 weights at eps = 1/200 (past three-limb's
+  headroom once its scale grows), ``lane="auto"`` must enter and
+  finish on the four-limb lane bit-identically and >= 1.5x faster
+  than the forced big-int loop.
 
 The speedup gates persist machine-readable JSON (via ``publish_json``)
 next to their text tables so the benchmark-trend pipeline can track
@@ -474,4 +479,97 @@ def test_three_limb_speedup_gate(benchmark):
     assert speedup >= THREE_LIMB_SPEEDUP_FLOOR, (
         f"three-limb speedup {speedup:.2f}x below the "
         f"{THREE_LIMB_SPEEDUP_FLOOR}x floor"
+    )
+
+
+# Four-limb gate: 10**30 weights at eps = 1/200 need 140-149 bits once
+# the scale has grown, past three-limb's 2**124 headroom, so before the
+# four-limb row these instances ran on the big-int loop.  The instance
+# enters four-limb from the first sweep (its nnz is far above the row's
+# ``min_nnz``) and must finish there.
+FOUR_LIMB_N = 3_000
+FOUR_LIMB_DEGREE = 6
+FOUR_LIMB_SEED = 13
+FOUR_LIMB_MAX_WEIGHT = 10**30
+FOUR_LIMB_SPEEDUP_FLOOR = 1.5
+
+
+def test_four_limb_speedup_gate(benchmark):
+    """Acceptance: the four-limb lane >= 1.5x big-int past three-limb."""
+    from repro.hypergraph.generators import regular_hypergraph
+
+    hypergraph = regular_hypergraph(
+        FOUR_LIMB_N,
+        LANE_RANK,
+        FOUR_LIMB_DEGREE,
+        seed=FOUR_LIMB_SEED,
+        weights=uniform_weights(
+            FOUR_LIMB_N, FOUR_LIMB_MAX_WEIGHT, seed=FOUR_LIMB_SEED + 1
+        ),
+    )
+    config = AlgorithmConfig(epsilon=LANE_EPSILON)
+    solve_mwhvc(hypergraph, config=config, executor="fastpath", verify=False)
+
+    def run_pair():
+        four_times = []
+        bigint_times = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            four = solve_mwhvc(
+                hypergraph, config=config, executor="fastpath",
+                verify=False,
+            )
+            t1 = time.perf_counter()
+            bigint = solve_mwhvc(
+                hypergraph, config=config, executor="fastpath",
+                lane="bigint", verify=False,
+            )
+            t2 = time.perf_counter()
+            four_times.append(t1 - t0)
+            bigint_times.append(t2 - t1)
+        return four, bigint, min(four_times), min(bigint_times)
+
+    four, bigint, four_s, bigint_s = benchmark.pedantic(
+        run_pair, rounds=1, iterations=1
+    )
+    # A mid-run spill would report the final (big-int) lane.
+    assert four.lane == "four-limb", four.lane
+    assert bigint.lane == "bigint", bigint.lane
+    assert_bit_identical(bigint, four, what="four-limb vs big-int lane")
+    speedup = bigint_s / four_s
+    table = render_table(
+        ["lane", "seconds", "speedup vs big-int"],
+        [
+            ["four-limb", f"{four_s:.3f}", f"{speedup:.2f}x"],
+            ["bigint", f"{bigint_s:.3f}", "1.00x"],
+        ],
+        title=(
+            f"Four-limb lane speedup (n={FOUR_LIMB_N}, "
+            f"{FOUR_LIMB_DEGREE}-regular, rank={LANE_RANK}, W<=10^30, "
+            f"eps={LANE_EPSILON}, iterations={four.iterations})"
+        ),
+    )
+    publish("executor_four_limb_speedup", table)
+    publish_json(
+        "executor_four_limb_speedup",
+        {
+            "gate": "fastpath_four_limb_vs_bigint_speedup",
+            "n": FOUR_LIMB_N,
+            "m": hypergraph.num_edges,
+            "rank": LANE_RANK,
+            "degree": FOUR_LIMB_DEGREE,
+            "max_weight": "10**30",
+            "epsilon": str(LANE_EPSILON),
+            "seed": FOUR_LIMB_SEED,
+            "iterations": four.iterations,
+            "four_limb_seconds": round(four_s, 6),
+            "bigint_seconds": round(bigint_s, 6),
+            "speedup": round(speedup, 3),
+            "floor": FOUR_LIMB_SPEEDUP_FLOOR,
+            "bit_identical": True,
+        },
+    )
+    assert speedup >= FOUR_LIMB_SPEEDUP_FLOOR, (
+        f"four-limb speedup {speedup:.2f}x below the "
+        f"{FOUR_LIMB_SPEEDUP_FLOOR}x floor"
     )

@@ -92,8 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=LANES,
         default="auto",
         help=(
-            "fastpath only: strongest kernel lane to attempt (auto == "
-            "int64; ineligible or overflowing runs degrade down the "
+            "fastpath only: strongest kernel lane to attempt (auto "
+            "enters the cheapest lane with room for the expected scale "
+            "growth; ineligible or overflowing runs degrade down the "
             "spill ladder to bigint with bit-identical results)"
         ),
     )

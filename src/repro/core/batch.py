@@ -26,11 +26,15 @@ results must be **bit-identical** to K sequential
 ``executor="fastpath"`` runs.  Each instance joins the strongest lane
 of :data:`repro.core.kernels.LANE_TABLE` whose headroom bound
 (:func:`repro.core.kernels.scale_limit`) guarantees that no sweep
-intermediate can overflow — int64, then the two-limb ~128-bit lane,
-then the three-limb ~192-bit lane — and every lane runs one arena.
-Instances that outgrow their lane mid-run *carry* their live scaled
-state (see :meth:`repro.core.kernels.LaneRun._extract_carry`) to the
-next lane that admits it, resuming from the interrupted iteration.
+intermediate can overflow, with room for half the scale growth Claim
+4 allows (:func:`repro.core.kernels.entry_lane`) — int64, then the
+two-limb ~128-bit lane, the three-limb ~192-bit lane and the
+four-limb ~256-bit lane — and every lane runs one arena, unless the
+arena is too small for its lane to beat the big-int loop (the row's
+``min_nnz``).  Instances that outgrow their lane mid-run *carry* their
+live scaled state (see :meth:`repro.core.kernels.LaneRun._extract_carry`)
+to the next lane that admits it, resuming from the interrupted
+iteration.
 Anything beyond the widest machine lane (or structurally ineligible:
 no numpy, fractional alphas, Appendix C increments, checked mode) is
 solved by the unbounded big-int loop, ``run_fastpath(...,
@@ -58,6 +62,7 @@ from repro.core.kernels import (
     LANE_TABLE,
     LaneRun,
     default_scale_limits,
+    entry_lane,
     lane_eligibility,
 )
 from repro.core.params import AlgorithmConfig
@@ -135,8 +140,13 @@ def run_ladder(
     computed here); ``arena`` is the instances' packed arena, sliced
     per lane instead of re-packed.
 
-    Each instance joins the first lane from ``start`` that admits it,
-    and the lanes run strongest first, one arena each.  A member whose
+    Under ``"auto"`` each instance enters the lane
+    :func:`~repro.core.kernels.entry_lane` picks from its expected
+    scale growth, and a lane arena smaller than its row's ``min_nnz``
+    runs on the big-int loop instead, carries included.  A forced
+    ``start`` enters the first lane from there that admits the bare
+    scale and runs every arena.  The lanes run strongest first, one
+    arena each.  A member whose
     scale outgrows its lane mid-run carries its state to the next lane
     that admits the carried scale (joining that lane's arena, which
     therefore runs only after every stronger one), or else to the
@@ -171,7 +181,15 @@ def run_ladder(
         state = states[index] if states is not None else None
         if state is None and rungs and HAS_NUMPY and hypergraph.num_edges:
             state = prepare_scaled_state(hypergraph, config)
-        place((index, hypergraph, state, None), rungs)
+        member = (index, hypergraph, state, None)
+        if start != "auto" or state is None:
+            place(member, rungs)
+            continue
+        lane = entry_lane(hypergraph, config, state, rungs)
+        if lane is None:
+            floor.append((index, state, None))
+        else:
+            groups[lane].append(member)
 
     def run_arena(rung, lane, members, reuse):
         """Run one lane's arena: finalize its finishers, place its spills.
@@ -216,8 +234,13 @@ def run_ladder(
 
     reuse = None
     for rung, lane in enumerate(rungs):
-        if groups[lane]:
-            reuse = run_arena(rung, lane, groups[lane], reuse)
+        members = groups[lane]
+        nnz = sum(hypergraph.nnz for _, hypergraph, _, _ in members)
+        if start == "auto" and nnz < LANE_TABLE[lane].min_nnz:
+            # Too small to pay for this lane's set-up: the big-int loop.
+            floor.extend((index, state, carry) for index, _, state, carry in members)
+        elif members:
+            reuse = run_arena(rung, lane, members, reuse)
 
     # The floor reuses each instance's iteration-0 state (the arenas
     # only copy it, so a spilled state is pristine) and resumes a

@@ -129,14 +129,6 @@ def _instance_record(
     )
 
 
-def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _segment_name(index: int) -> str:
     return f"segment-{index:05d}.arena"
 
@@ -200,7 +192,7 @@ def pack_corpus(
         index = len(segments)
         name = _segment_name(index)
         arena = pack_arena([hypergraph for _, hypergraph in buffer])
-        save_arena(arena, directory / name)
+        sha256 = save_arena(arena, directory / name)
         records = tuple(
             _instance_record(instance_id, hypergraph, config)
             for instance_id, hypergraph in buffer
@@ -208,7 +200,7 @@ def pack_corpus(
         segments.append(
             SegmentRecord(
                 file=name,
-                sha256=_file_sha256(directory / name),
+                sha256=sha256,
                 instances=records,
             )
         )
@@ -395,14 +387,14 @@ class ArenaCatalog:
         arena = load_arena(self.segment_path(segment_index), mmap=False)
         instances = arena_hypergraphs(arena)
         instances[offset] = hypergraph
-        save_arena(
+        sha256 = save_arena(
             pack_arena(instances), self.segment_path(segment_index)
         )
         records = list(segment.instances)
         records[offset] = _instance_record(instance_id, hypergraph, config)
         updated = SegmentRecord(
             file=segment.file,
-            sha256=_file_sha256(self.segment_path(segment_index)),
+            sha256=sha256,
             instances=tuple(records),
         )
         segments = list(self.segments)

@@ -29,11 +29,14 @@ single source of truth the object cores use.
 Since PR 3 the executor selects an arithmetic **lane** per run (see
 :data:`repro.core.kernels.LANE_TABLE`): instances whose headroom bound
 fits machine width run the whole iteration loop on vectorized
-``int64`` arrays (or on the two-limb multi-word representation up to
-``2**93`` and the three-limb one up to ``2**124`` when they outgrow
-int64), falling back transparently to the unbounded big-int loop below
-— ``"bigint"`` — when no bound holds or when a lane's scale outgrows
-its headroom mid-run.  That spill ladder is
+``int64`` arrays (or on the multi-word representations: two limbs up
+to ``2**93``, three up to ``2**124`` and four up to ``2**156``),
+falling back transparently to the unbounded big-int loop below —
+``"bigint"`` — when no bound holds, when the instance is too small for
+its lane to pay off, or when a lane's scale outgrows its headroom
+mid-run.  Under ``lane="auto"`` an instance enters the first lane with
+room for half the scale growth Claim 4 allows
+(:func:`repro.core.kernels.entry_lane`).  That spill ladder is
 :func:`repro.core.batch.run_ladder`, the one batches use; a solo run is
 a batch of one, and this module keeps the big-int loop it ends on.
 Every lane is bit-identical; ``lane="..."`` forces the ladder's entry
@@ -154,6 +157,11 @@ class ScaledState:
 #: this, or the pass bows out to the scalar loop.
 _FUSED_INT64_LIMIT = 1 << 62
 
+#: Largest contribution bound for which the fused pass finds the
+#: scale's distinct lcm contributions with a bincount (one counter per
+#: possible value) instead of sorting them.
+_BINCOUNT_LIMIT = 1 << 16
+
 
 def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     """Vectorized iteration 0, or ``None`` when the instance needs the
@@ -214,8 +222,6 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     nums, dens = zip(*[(a.numerator, a.denominator) for a in alphas])
     if max(max_weight * max(nums), 2 * max_degree * max(dens)) >= _FUSED_INT64_LIMIT:
         return None
-    alpha_num = _np.array(nums, dtype=_np.int64)[which]
-    alpha_den = _np.array(dens, dtype=_np.int64)[which]
 
     # Argmin per edge: minimize w(v)/|E(v)|, ties by vertex id.  The
     # float64 ratio is only a shortlist (its relative error is ~2^-52,
@@ -257,15 +263,27 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     # reduced denominators of ``w*/(2 |E(v*)|)`` and of its alpha
     # multiple) as int64 gcds, then one lcm over their few distinct
     # values.  Weight denominators are all 1 here (int weights only).
+    # With integral alphas ``gcd(w*, 2d*)`` divides ``gcd(w* alpha,
+    # 2d*)``, so each raised contribution divides its bid contribution
+    # and the second pass adds nothing to the lcm.
     bid_dens = 2 * argmin_d
-    raised_dens = bid_dens * alpha_den
-    contributions = _np.concatenate(
-        (
-            bid_dens // _np.gcd(argmin_w, bid_dens),
-            raised_dens // _np.gcd(argmin_w * alpha_num, raised_dens),
+    contributions = bid_dens // _np.gcd(argmin_w, bid_dens)
+    if max(dens) > 1:
+        alpha_num = _np.array(nums, dtype=_np.int64)[which]
+        raised_dens = bid_dens * _np.array(dens, dtype=_np.int64)[which]
+        contributions = _np.concatenate(
+            (
+                contributions,
+                raised_dens // _np.gcd(argmin_w * alpha_num, raised_dens),
+            )
         )
-    )
-    scale = lcm(*_np.unique(contributions).tolist())
+    # Every contribution divides ``2 Delta * alpha_den``: below a small
+    # bound, a bincount finds the distinct values without a sort.
+    if 2 * max_degree * max(dens) < _BINCOUNT_LIMIT:
+        distinct = _np.flatnonzero(_np.bincount(contributions))
+    else:
+        distinct = _np.unique(contributions)
+    scale = lcm(*distinct.tolist())
 
     # Initial bids and the per-vertex bid sums, vectorized while the
     # products fit int64 (the scalar tail keeps exactness beyond).
@@ -398,15 +416,19 @@ def run_fastpath(
     avoid repeating iteration 0 for instances it hands to the big-int
     loop.  The state is consumed (mutated) by the run.
 
-    ``lane`` names the strongest arithmetic lane the run may attempt
-    (``"auto"`` == ``"int64"``).  Any machine lane runs the instance
-    through the spill ladder (:func:`repro.core.batch.run_ladder`, the
-    same code that advances batches): the iteration loop runs on
-    machine width whenever the lane's headroom bound admits the
-    instance, and degrades transparently — int64 -> two-limb ->
-    three-limb -> bigint — when a lane is ineligible or its scale
-    outgrows the headroom mid-run, each wider lane resuming from the
-    interrupted iteration.  Results are bit-identical on every lane
+    ``lane`` names the strongest arithmetic lane the run may attempt.
+    Any machine lane runs the instance through the spill ladder
+    (:func:`repro.core.batch.run_ladder`, the same code that advances
+    batches): the iteration loop runs on machine width whenever the
+    lane's headroom bound admits the instance, and degrades
+    transparently — int64 -> two-limb -> three-limb -> four-limb ->
+    bigint — when a lane is ineligible or its scale outgrows the
+    headroom mid-run, each wider lane resuming from the interrupted
+    iteration.  ``"auto"`` enters the lane with room for the expected
+    scale growth (:func:`repro.core.kernels.entry_lane`) and runs an
+    instance smaller than that lane's ``min_nnz`` on the big-int loop;
+    a forced machine lane enters the first lane from there that admits
+    the initial scale.  Results are bit-identical on every lane
     (the completing lane is reported in ``CoverResult.lane``);
     ``lane="bigint"`` pins the unbounded big-int loop.  Observers are
     a big-int-loop feature: with an ``observer``, ``"auto"`` runs the

@@ -18,20 +18,22 @@ same guarded kernels:
 * **the int64 lane** (:class:`Int64Ops`) — plain ``int64`` arrays, one
   numpy kernel per transition, exactly PR 2's arena arithmetic;
 * **the limb lanes** (:class:`LimbOps`, instantiated as
-  :data:`TwoLimbOps` and :data:`ThreeLimbOps`) — every value is a
-  tuple of ``int64`` word arrays, 32 bits per word below the top one,
-  with vectorized carry propagation.  Two words widen the range to
-  headroom ``2**93``, so large-scale / large-alpha / large-weight
-  instances that outgrow int64 still run at machine speed; scalar
-  multipliers (``beta_den``, ``alpha``, ``2**(z+2)``) must fit 31 bits
-  so digit products stay inside int64.  Three words reach headroom
-  ``2**124``, and that lane's multipliers get a 62-bit budget by
-  splitting them into 31-bit halves, so the huge-``beta_den`` regimes
-  (the f-approximation's tiny epsilon on big weights) stay on machine
-  arithmetic instead of falling through to big-int;
+  :data:`TwoLimbOps`, :data:`ThreeLimbOps` and :data:`FourLimbOps`) —
+  every value is a tuple of ``int64`` word arrays, 32 bits per word
+  below the top one, with vectorized carry propagation.  Two words
+  widen the range to headroom ``2**93``, so large-scale / large-alpha
+  / large-weight instances that outgrow int64 still run at machine
+  speed; scalar multipliers (``beta_den``, ``alpha``, ``2**(z+2)``)
+  must fit 31 bits so digit products stay inside int64.  Three words
+  reach headroom ``2**124`` and four ``2**156``; those lanes'
+  multipliers get a 62-bit budget by splitting them into 31-bit
+  halves, so the huge-``beta_den`` regimes (the f-approximation's tiny
+  epsilon on big weights) and weights up to about ``10**36`` stay on
+  machine arithmetic instead of falling through to big-int;
 * **the lane table** (:data:`LANE_TABLE`) — one row per machine lane,
-  strongest first: its ops, headroom bits, multiplier budget and
-  shard-balancing cost factor.  Eligibility, the spill ladder
+  strongest first: its ops, headroom bits, multiplier budget,
+  shard-balancing cost factor and the smallest arena it pays off on.
+  Eligibility, the entry rule (:func:`entry_lane`), the spill ladder
   (:func:`repro.core.batch.run_ladder`), the cost model and the worker
   payload all read it, so a new lane is one new row;
 * **the sweep engine** (:class:`LaneRun`) — the per-iteration
@@ -42,13 +44,13 @@ same guarded kernels:
   back to the caller as a **carry** — its exact state at the start of
   the interrupted sweep (the engine undoes that sweep's partial
   phase-A mutations for the instance) — and the next lane down the
-  ladder (int64 -> two-limb -> three-limb -> big-int) *resumes from
-  that iteration*
-  instead of replaying from iteration 0.  Resumption is exact: value
-  arrays cross the lane boundary as arbitrary-precision integers
-  (``int64`` words widen to limb tuples, limb tuples reconstruct to
-  Python ints), and per-instance iteration offsets keep the
-  round/iteration accounting bit-identical to an uninterrupted run.
+  ladder (int64 -> two-limb -> three-limb -> four-limb -> big-int)
+  *resumes from that iteration* instead of replaying from iteration 0.
+  Resumption is exact: value arrays cross the lane boundary as
+  arbitrary-precision integers (``int64`` words widen to limb tuples,
+  limb tuples reconstruct to Python ints), and per-instance iteration
+  offsets keep the round/iteration accounting bit-identical to an
+  uninterrupted run.
 
 The transition *formulas* are not duplicated: the int64 lane applies
 the ``*_scaled`` pure functions from :mod:`repro.core.vertex_logic`
@@ -95,7 +97,9 @@ __all__ = [
     "LimbOps",
     "TwoLimbOps",
     "ThreeLimbOps",
+    "FourLimbOps",
     "LaneRun",
+    "entry_lane",
     "lane_eligibility",
     "headroom_factor",
     "scale_limit",
@@ -237,6 +241,26 @@ def lane_eligibility(
     if scale > scale_limit(w_max, factor, z, bits):
         return False, over
     return True, "ok"
+
+
+def entry_lane(hypergraph: Hypergraph, config: AlgorithmConfig, state, lanes):
+    """The first of ``lanes`` a fresh instance enters under ``lane="auto"``,
+    or ``None`` for the big-int loop.
+
+    Claim 4 keeps every level below ``z``, so an edge halves at most
+    ``f * (z - 1)`` times and the scale grows by at most that many
+    bits.  The instance enters the first lane whose headroom admits
+    its scale shifted by half that bound, so it rarely spills; when no
+    lane does, the first that admits the bare scale.  A wrong guess
+    costs a spill, never a bit.
+    """
+    rank = hypergraph.rank
+    shift = -(-rank * (config.z(rank) - 1) // 2)
+    for scale in (state.scale << shift, state.scale):
+        for lane in lanes:
+            if lane_eligibility(hypergraph, config, state, lane=lane, scale=scale)[0]:
+                return lane
+    return None
 
 
 def default_scale_limits(hypergraphs, config, states, *, lane: str) -> list[int]:
@@ -392,13 +416,13 @@ class LimbOps:
     first: ``V = sum(words[i] << 32*i)``.  Normalized values keep every
     word below the top one in ``[0, 2**32)``, so bitwise OR across
     tuples is OR of the values; the lane's headroom (``2**93`` with two
-    limbs, ``2**124`` with three) keeps the top word below ``2**61``.
-    The comments bound the intermediates.
+    limbs, ``2**124`` with three, ``2**156`` with four) keeps the top
+    word below ``2**61``.  The comments bound the intermediates.
 
     Multipliers below ``2**31`` apply as one digit-product pass; larger
-    ones, up to the three-limb lane's 62-bit budget, split into 31-bit
-    halves (two passes plus one carried add), which keeps the
-    huge-``beta_den`` f-approximation regime on machine arithmetic.
+    ones, up to the three- and four-limb lanes' 62-bit budget, split
+    into 31-bit halves (two passes plus one carried add), which keeps
+    the huge-``beta_den`` f-approximation regime on machine arithmetic.
     """
 
     def __init__(self, name: str, limbs: int):
@@ -595,6 +619,9 @@ TwoLimbOps = LimbOps("two-limb", 2)
 #: The ~192-bit lane (headroom ``2**124``, 62-bit multipliers).
 ThreeLimbOps = LimbOps("three-limb", 3)
 
+#: The ~256-bit lane (headroom ``2**156``, 62-bit multipliers).
+FourLimbOps = LimbOps("four-limb", 4)
+
 
 def _value_slab(ops, parts):
     """One lane value array from per-instance chunks in arena order:
@@ -621,15 +648,19 @@ class MachineLane:
     (``beta_den``, ``alpha_num``, ``2**(z+2)``); ``cost_factor`` is the
     relative per-cell sweep cost the shard balancer charges
     (:func:`repro.core.parallel.estimated_cost`), about the number of
-    int64 passes one primitive op takes on the lane.  Rows are mutable so
-    tests can shrink a budget to force spills; pool workers receive the
-    parent's budgets with every shard.
+    int64 passes one primitive op takes on the lane.  ``min_nnz`` is
+    the smallest arena (total incidence cells) on which the lane beats
+    the big-int loop: under ``lane="auto"`` a smaller arena runs
+    there instead.  Rows are mutable so tests can shrink a budget to
+    force spills; pool workers receive the parent's budgets and
+    ``min_nnz`` with every shard.
     """
 
     ops: object
     headroom_bits: int
     multiplier_bits: int
     cost_factor: int
+    min_nnz: int = 0
 
 
 #: Every machine lane, strongest first (the spill ladder appends the
@@ -654,6 +685,14 @@ LANE_TABLE = {
     "three-limb": MachineLane(
         ThreeLimbOps, headroom_bits=124, multiplier_bits=62, cost_factor=3
     ),
+    # Three-limb's layout with one more 32-bit word below the top one
+    # (``hi`` still below ``2**60``).  Solo solves and 4-instance arenas
+    # of rank-3 instances crossed over against the big-int loop between
+    # 1 440 and 2 880 cells on a 2-core x86-64 host.
+    "four-limb": MachineLane(
+        FourLimbOps, headroom_bits=156, multiplier_bits=62, cost_factor=4,
+        min_nnz=2500,
+    ),
 }
 
 #: The machine lanes' names in ladder order.
@@ -665,8 +704,8 @@ class LaneRun:
 
     ``K >= 1`` instances are packed into disjoint global id ranges and
     advanced together, one vectorized sweep per iteration; ``ops`` is
-    the lane backend (:class:`Int64Ops`, :data:`TwoLimbOps` or
-    :data:`ThreeLimbOps`) and ``limits`` the per-instance scale
+    the lane backend (:class:`Int64Ops` or a :class:`LimbOps`
+    instance) and ``limits`` the per-instance scale
     ceilings from the lane's headroom bound.  An instance whose
     dynamically growing scale would cross its ceiling is *spilled*:
     the engine rolls the instance back to the interrupted sweep's

@@ -14,11 +14,11 @@ submission order.  Parallelism is purely an execution detail:
   :func:`corrected_cost` (an LPT greedy assignment), not round-robin,
   so one heavy instance cannot serialize the batch behind it.  The
   static :func:`estimated_cost` is ``nnz * expected-iterations``
-  scaled by a **lane-eligibility factor**: a cheap
-  :func:`~repro.core.kernels.lane_eligibility` probe predicts the
-  kernel lane the instance will run on, and big-int-bound instances
-  (whose per-cell cost grows with operand width) are costed
-  accordingly instead of as if they were int64.  On top of that,
+  scaled by a **lane-eligibility factor**: a cheap probe of the
+  ladder's entry rule (:func:`~repro.core.kernels.entry_lane`)
+  predicts the kernel lane the instance will run on, and
+  big-int-bound instances (whose per-cell cost grows with operand
+  width) are costed accordingly instead of as if they were int64.  On top of that,
   workers report per-instance **observed solve times**, which
   :class:`CostModel` folds into a live correction table (keyed by lane
   + structure signature) consulted on the next call — the feedback
@@ -66,7 +66,7 @@ from repro.core.kernels import (
     HAS_NUMPY,
     LANE_TABLE,
     MACHINE_LANES,
-    lane_eligibility,
+    entry_lane,
 )
 from repro.core.params import AlgorithmConfig, resolve_alpha
 from repro.core.result import AlgorithmStats, CoverResult
@@ -115,15 +115,16 @@ _BIGINT_WIDTH_DIVISOR = 512
 
 
 def predicted_lane(hypergraph: Hypergraph, config: AlgorithmConfig) -> str:
-    """The kernel lane the fastpath ladder is expected to land on.
+    """The kernel lane a solo ``lane="auto"`` solve is expected to finish on.
 
-    A cheap probe — the same float64-prefiltered
-    :func:`~repro.core.kernels.lane_eligibility` check the executors
-    use for admission, fed a structural scale proxy (``2 * Delta``,
-    the integer-weight initial-bid denominator) instead of the exact
-    iteration-0 state, so no scaled state is materialized.  Structural
-    disqualifiers (no numpy, fractional alphas, checked mode) predict
-    ``"bigint"`` — those instances really do run the scalar loop.
+    A cheap probe — the ladder's own entry rule,
+    :func:`~repro.core.kernels.entry_lane`, fed a structural scale
+    proxy (``2 * Delta``, the integer-weight initial-bid denominator)
+    instead of the exact iteration-0 state, so no scaled state is
+    materialized — and the entered lane's ``min_nnz`` against the
+    instance's own nnz.  Structural disqualifiers (no numpy,
+    fractional alphas, checked mode) predict ``"bigint"`` — those
+    instances really do run the scalar loop.
     """
     if hypergraph.num_edges == 0:
         return "int64"
@@ -134,11 +135,10 @@ def predicted_lane(hypergraph: Hypergraph, config: AlgorithmConfig) -> str:
     probe = SimpleNamespace(
         alpha=alpha, scale=2 * max(1, hypergraph.max_degree)
     )
-    for lane in MACHINE_LANES:
-        eligible, _ = lane_eligibility(hypergraph, config, probe, lane=lane)
-        if eligible:
-            return lane
-    return "bigint"
+    lane = entry_lane(hypergraph, config, probe, MACHINE_LANES)
+    if lane is None or hypergraph.nnz < LANE_TABLE[lane].min_nnz:
+        return "bigint"
+    return lane
 
 
 def _lane_cost_factor(lane: str, hypergraph: Hypergraph) -> int:
@@ -623,9 +623,10 @@ def _solve_shard(
     # consumes the shipped arena itself, slicing the per-lane
     # eligibility groups out of it instead of re-packing.
     instances = arena_hypergraphs(arena)
-    for name, (headroom, multiplier) in payload["budgets"].items():
+    for name, (headroom, multiplier, min_nnz) in payload["budgets"].items():
         row = LANE_TABLE[name]
         row.headroom_bits, row.multiplier_bits = headroom, multiplier
+        row.min_nnz = min_nnz
     config = payload["config"]
     start = time.perf_counter()
     results = run_fastpath_batch(
@@ -754,9 +755,10 @@ def shard_payload(arena, shard, config, verify, *, fault=None) -> dict:
 
     The parent's lane budgets (every
     :data:`~repro.core.kernels.LANE_TABLE` row's headroom and
-    multiplier bits) are snapshotted into the payload at call time so
-    workers always agree with the caller on lane admission (tests
-    shrink the budgets to force spills inside workers).  ``fault`` is
+    multiplier bits and its ``min_nnz``) are snapshotted into the
+    payload at call time so workers always agree with the caller on
+    lane admission (tests shrink the budgets to force spills inside
+    workers).  ``fault`` is
     an optional worker directive already drawn from a
     :class:`~repro.core.faults.FaultPlan` — the decision is made (and
     logged) by the caller, the worker merely executes it.  Called by
@@ -769,7 +771,7 @@ def shard_payload(arena, shard, config, verify, *, fault=None) -> dict:
         "config": config,
         "verify": verify,
         "budgets": {
-            name: (row.headroom_bits, row.multiplier_bits)
+            name: (row.headroom_bits, row.multiplier_bits, row.min_nnz)
             for name, row in LANE_TABLE.items()
         },
         "fault": fault,

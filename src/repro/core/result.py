@@ -117,8 +117,8 @@ class CoverResult:
         local policy).
     lane:
         Which arithmetic lane completed the run for the scaled-integer
-        executors (``"int64"``, ``"two-limb"``, ``"three-limb"`` or
-        ``"bigint"``);
+        executors (``"int64"``, ``"two-limb"``, ``"three-limb"``,
+        ``"four-limb"`` or ``"bigint"``);
         ``None`` for the Fraction-core executors.  Metadata only —
         excluded from equality so differential comparisons across
         executors and lanes stay meaningful.

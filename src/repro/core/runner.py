@@ -135,8 +135,8 @@ def finalize_result(
     Fractions.  ``alpha`` is the instance's alpha as iteration 0 left
     it (see :func:`~repro.core.params.distinct_alphas`): one Fraction,
     or one per edge.  ``lane`` records which arithmetic lane (int64 /
-    two-limb / three-limb / bigint) produced the raw values — metadata
-    the scaled executors report for observability.
+    two-limb / three-limb / four-limb / bigint) produced the raw
+    values — metadata the scaled executors report for observability.
     """
     weight = hypergraph.cover_weight(cover)
     if dual_total is None:

@@ -123,9 +123,10 @@ def solve_mwhvc(
         ``executor="fastpath"``, the single option ``lane=`` forces
         the entry point of the kernel-lane spill ladder
         (``"auto"`` / ``"int64"`` / ``"two-limb"`` / ``"three-limb"``
-        / ``"bigint"``; see
-        :mod:`repro.core.kernels`) — results are bit-identical on
-        every lane, and the completing lane lands in
+        / ``"four-limb"`` / ``"bigint"``; ``"auto"`` picks the
+        cheapest lane with room for the expected scale growth, see
+        :func:`repro.core.kernels.entry_lane`) — results are
+        bit-identical on every lane, and the completing lane lands in
         ``CoverResult.lane``.
     """
     if config is None:

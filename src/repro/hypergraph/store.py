@@ -64,6 +64,7 @@ network interchange format — that is what the HIF import/export in
 
 from __future__ import annotations
 
+import hashlib
 import os
 import zlib
 from array import array
@@ -235,6 +236,11 @@ def encode_arena(arena: BatchArena) -> bytes:
     process (:func:`repro.core.parallel.ship_arena`).  The encoding is
     deterministic: equal arenas encode to identical bytes.
     """
+    return b"".join(_container_parts(arena))
+
+
+def _container_parts(arena: BatchArena) -> list[bytes]:
+    """The :func:`encode_arena` container as its consecutive parts."""
     weights_kind, weights_raw = _encode_weights(arena.weights)
     membership = arena.membership
     sections = (
@@ -274,26 +280,30 @@ def encode_arena(arena: BatchArena) -> bytes:
         cursor = offset + len(raw)
     payload = header_payload.tobytes()
     frame = array("q", [_STORE_MAGIC, len(payload), zlib.crc32(payload)])
-    return b"".join([frame.tobytes(), payload, *body])
+    return [frame.tobytes(), payload, *body]
 
 
-def save_arena(arena: BatchArena, path) -> int:
+def save_arena(arena: BatchArena, path) -> str:
     """Write ``arena`` to ``path`` as one :func:`encode_arena` container.
 
-    Returns the number of bytes written.  The write is atomic (temp
-    file + fsync + rename in the destination directory), so a crashed
-    or interrupted save can never leave a half-written container under
-    the final name — a partially copied one fails its CRCs instead.
+    Returns the container's SHA-256 hex digest, hashed from the parts
+    as they are written (no joined copy, no read-back).  The write is
+    atomic (temp file + fsync + rename in the destination directory),
+    so a crashed or interrupted save can never leave a half-written
+    container under the final name — a partially copied one fails its
+    CRCs instead.
     """
     path = Path(path)
-    data = encode_arena(arena)
+    digest = hashlib.sha256()
     temp = path.with_name(path.name + ".tmp")
     with open(temp, "wb") as handle:
-        handle.write(data)
+        for part in _container_parts(arena):
+            handle.write(part)
+            digest.update(part)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, path)
-    return len(data)
+    return digest.hexdigest()
 
 
 def _align_up(offset: int) -> int:

@@ -88,3 +88,20 @@ def array_twin(hypergraph: Hypergraph) -> Hypergraph:
     return Hypergraph._from_arrays(
         twin.num_vertices, twin._cells, twin._offsets, weights
     )
+
+
+def spy_lane_runs(monkeypatch) -> list:
+    """Record every in-process LaneRun the ladder constructs, in order:
+    the runs' ``ops.name`` and ``carries_out`` show where instances
+    entered and whether they spilled."""
+    from repro.core.kernels import LaneRun
+
+    runs = []
+    real_init = LaneRun.__init__
+
+    def spying_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        runs.append(self)
+
+    monkeypatch.setattr(LaneRun, "__init__", spying_init)
+    return runs

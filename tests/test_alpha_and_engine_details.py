@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 import repro.core.fastpath as fastpath_module
 import repro.core.lockstep as lockstep_module
 from repro.congest.engine import SynchronousEngine, default_bandwidth_cap
@@ -14,6 +16,7 @@ from repro.congest.node import Node
 from repro.core.fastpath import HAS_NUMPY, prepare_scaled_state
 from repro.core.params import AlgorithmConfig, theorem9_alpha
 from repro.core.solver import solve_mwhvc
+from repro.hypergraph.generators import mixed_rank_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
 
 
@@ -118,6 +121,44 @@ class TestLocalAlphaEndToEnd:
             )
             result = solve_mwhvc(hypergraph, config=config)
             assert result.certificate is not None
+
+
+#: The alpha policies whose fused iteration-0 scale must equal the
+#: scalar pass's: integral alphas (theorem9's 2 at these degrees, and
+#: local's per-edge values), a fractional fixed one, and a fixed one
+#: whose denominator puts the contribution bound past the bincount.
+SCALE_CONFIGS = {
+    "theorem9": {},
+    "local": {"alpha_policy": "local"},
+    "fixed-7/2": {"alpha_policy": "fixed", "fixed_alpha": Fraction(7, 2)},
+    "fixed-wide": {
+        "alpha_policy": "fixed", "fixed_alpha": Fraction(10**6 + 3, 10**5 + 7)
+    },
+}
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="the fused pass needs numpy")
+@pytest.mark.parametrize("policy", SCALE_CONFIGS)
+@pytest.mark.parametrize("seed", range(4))
+def test_fused_scale_equals_scalar_scale(monkeypatch, policy, seed):
+    """The fused pass skips the raised-contribution gcds under integral
+    alphas and finds distinct contributions by bincount below a small
+    bound; neither may change the scale the scalar pass computes."""
+    weights = [
+        (v % 7 + 1) * (3 ** (v % 4)) * (2 ** (v % 5)) for v in range(24)
+    ]
+    hypergraph = mixed_rank_hypergraph(24, 40, 4, seed=seed, weights=weights)
+    config = AlgorithmConfig(epsilon=Fraction(1, 3), **SCALE_CONFIGS[policy])
+    fused = fastpath_module._fused_iteration0(hypergraph, config)
+    assert fused is not None
+    monkeypatch.setattr(
+        fastpath_module, "_fused_iteration0", lambda *args: None
+    )
+    scalar = prepare_scaled_state(hypergraph, config)
+    assert scalar.alpha == fused.alpha
+    assert scalar.scale == fused.scale
+    assert scalar.bid == list(fused.bid)
+    assert list(scalar.total_delta) == list(fused.total_delta)
 
 
 class CountingNode(Node):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import repro.core.batch as batch_module
 import repro.core.kernels as kernels_module
 from repro.baselines.registry import this_work_batch, this_work_fastpath
-from repro.core.batch import arena_eligibility, run_fastpath_batch
+from repro.core.batch import arena_eligibility, run_fastpath_batch, run_ladder
 from repro.core.fastpath import HAS_NUMPY, run_fastpath
 from repro.core.params import AlgorithmConfig
 from repro.core.solver import solve_mwhvc, solve_mwhvc_batch
@@ -39,6 +39,8 @@ from repro.hypergraph.generators import (
     uniform_weights,
 )
 from repro.hypergraph.hypergraph import Hypergraph
+
+from conftest import spy_lane_runs
 
 needs_numpy = pytest.mark.skipif(
     not HAS_NUMPY, reason="the int64 arena lane requires numpy"
@@ -203,14 +205,24 @@ def test_batch_order_is_preserved():
 @needs_numpy
 def test_forced_spill_is_bit_identical(monkeypatch):
     """Shrinking the headroom forces mid-run spills; results match solo
-    fastpath and, independently of the shared spill ladder, lockstep."""
+    fastpath and, independently of the shared spill ladder, lockstep.
+    The ladder is entered at int64, which the growth-aware ``auto``
+    entry skips for most members at this budget."""
     config = AlgorithmConfig(epsilon=Fraction(1, 3))
     batch = random_batch(6, base_seed=4)
     assert any(arena_eligibility(hg, config)[0] for hg in batch)
-    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 34)
-    assert_batch_matches_sequential(
-        batch, config, executors=("fastpath", "lockstep")
-    )
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 26)
+    runs = spy_lane_runs(monkeypatch)
+    results = run_ladder(batch, config, verify=True, start="int64")
+    assert runs[0].ops.name == "int64" and runs[0].carries_out
+    for position, (hypergraph, result) in enumerate(zip(batch, results)):
+        for executor in ("fastpath", "lockstep"):
+            solo = solve_mwhvc(hypergraph, config=config, executor=executor)
+            for attribute in OBSERVABLES:
+                assert getattr(result, attribute) == getattr(
+                    solo, attribute
+                ), (position, executor, attribute)
+    assert_batch_matches_sequential(batch, config, executors=("fastpath",))
 
 
 def test_no_numpy_fallback_is_bit_identical(monkeypatch):

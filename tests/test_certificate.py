@@ -46,7 +46,7 @@ from repro.lp.covering_lp import dual_feasible, dual_value, vertex_load
 from repro.lp.duality import ApproximationCertificate
 from repro.lp.scaled import ScaledDual
 
-from conftest import array_twin
+from conftest import array_twin, spy_lane_runs
 
 CERT_SETTINGS = settings(
     max_examples=int(os.environ.get("CERT_DIFF_EXAMPLES", "15")),
@@ -54,15 +54,16 @@ CERT_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-LANES = ("int64", "two-limb", "three-limb", "bigint")
+LANES = ("int64", "two-limb", "three-limb", "four-limb", "bigint")
 SOLVERS = (*LANES, "spill", "lockstep")
 #: Solvers whose dual is a ScaledDual; "incremental" is the merge of
 #: per-component fragment solves.
 SCALED_SOLVERS = (*LANES, "spill", "incremental")
 
-#: Every machine lane's headroom shrunk to this many bits: a run the
-#: int64 lane admits trips the budget mid-run and carries its state
-#: down the ladder.
+#: Every machine lane's headroom shrunk to this many bits: a run
+#: entered at int64 (forced, since the growth-aware ``auto`` entry
+#: would skip a lane this tight) that the lane admits trips the budget
+#: mid-run and carries its state down the ladder.
 SPILL_HEADROOM_BITS = 41
 
 
@@ -112,7 +113,8 @@ def solve(hypergraph, epsilon, solver):
                     patch.object(row, "headroom_bits", SPILL_HEADROOM_BITS)
                 )
             result = solve_mwhvc(
-                hypergraph, config=config, executor="fastpath", verify=False
+                hypergraph, config=config, executor="fastpath",
+                lane="int64", verify=False,
             )
     else:
         result = solve_mwhvc(
@@ -348,20 +350,23 @@ def test_scaled_dual_checks_match_oracle(solver, hypergraph, epsilon, pick):
     assert_scaled_checks_agree(hypergraph, cover, dual, epsilon, pick)
 
 
-def test_midrun_spill_certificate_matches_oracle():
+def test_midrun_spill_certificate_matches_oracle(monkeypatch):
     """A run that spills mid-run still hands out a dual both accept."""
     hypergraph = mixed_rank_hypergraph(
         20, 35, 4, seed=8, weights=uniform_weights(20, 1000, seed=9)
     )
     epsilon = Fraction(1, 7)
     config = AlgorithmConfig(epsilon=epsilon)
+    runs = spy_lane_runs(monkeypatch)
     with patch.object(
         kernels_module.LANE_TABLE["int64"], "headroom_bits", SPILL_HEADROOM_BITS
     ):
         result = solve_mwhvc(
-            hypergraph, config=config, executor="fastpath", verify=False
+            hypergraph, config=config, executor="fastpath", lane="int64",
+            verify=False,
         )
     if HAS_NUMPY:
+        assert runs[0].ops.name == "int64" and runs[0].carries_out
         assert result.lane == "two-limb"
     assert_checkers_agree(hypergraph, result.cover, result.dual, epsilon)
     assert_scaled_checks_agree(

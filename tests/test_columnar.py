@@ -46,6 +46,7 @@ from repro.core.params import AlgorithmConfig
 from repro.core.solver import solve_mwhvc, solve_mwhvc_batch
 from repro.hypergraph import io as hg_io
 from repro.hypergraph.csr import arena_hypergraphs, pack_arena, slice_arena
+from repro.hypergraph.generators import mixed_rank_hypergraph, uniform_weights
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.mutable import MutableHypergraph
 from repro.hypergraph.store import (
@@ -55,7 +56,7 @@ from repro.hypergraph.store import (
     save_arena,
 )
 
-from conftest import array_twin
+from conftest import array_twin, spy_lane_runs
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="arrays need numpy")
 
@@ -508,16 +509,24 @@ def test_twin_batches_match_across_jobs(monkeypatch):
     """``jobs=2`` shards array-backed instances (their arena packs as
     arrays and serializes for the pool) with the same bits as ``jobs=1``
     on the tuple-built twins, forced spills included."""
-    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 44)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
     rng = random.Random(11)
     batch = [
         random_instance(rng, 10 + size, 18 + size, 3, weight)
         for size, weight in zip(range(8), (9, 10**3, 10**9, 10**15) * 2)
+    ] + [
+        # Enters int64 at this budget and outgrows it mid-run (its
+        # mixed-arity text reads back tuple-built).
+        mixed_rank_hypergraph(
+            20, 35, 4, seed=8, weights=uniform_weights(20, 1000, seed=9)
+        )
     ]
     config = AlgorithmConfig(epsilon=Fraction(1, 5))
+    runs = spy_lane_runs(monkeypatch)
     expected = solve_mwhvc_batch(batch, config=config, jobs=1)
+    assert any(run.carries_out for run in runs)
     twins = [hg_io.loads(hg_io.dumps(hypergraph)) for hypergraph in batch]
-    assert all(is_array_backed(twin) for twin in twins)
+    assert all(is_array_backed(twin) for twin in twins[:-1])
     for jobs in (1, 2):
         results = solve_mwhvc_batch(twins, config=config, jobs=jobs)
         for left, right in zip(results, expected):

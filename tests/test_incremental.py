@@ -41,7 +41,13 @@ from repro.hypergraph.mutable import (
     apply_delta,
 )
 
-LANES = ("int64", "two-limb", "three-limb", "bigint")
+from conftest import spy_lane_runs
+
+LANES = ("int64", "two-limb", "three-limb", "four-limb", "bigint")
+
+needs_numpy = pytest.mark.skipif(
+    not HAS_NUMPY, reason="forced spills need the machine lanes"
+)
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -359,27 +365,31 @@ def test_unknown_lane_is_rejected():
         solve_state(multi_component(31), AlgorithmConfig(), lane="float128")
 
 
+@needs_numpy
 def test_differential_gate_forced_midrun_spills(monkeypatch):
     """Shrunken headrooms force spill-carry resumes inside fragments;
     the incremental result must still match from-scratch exactly."""
-    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 40)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 59)
     monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 60)
     monkeypatch.setattr(kernels_module.LANE_TABLE["three-limb"], "headroom_bits", 80)
     rng = random.Random(17)
     config = AlgorithmConfig(epsilon="1/3")
     base_plain = multi_component(13)
-    # Huge weights so every lane overflows and carries down the ladder.
+    # Weights up to 2**45: the int64 lane admits the fragments' initial
+    # scales but not their growth.
     weights = [
-        (1 << 45) + rng.randint(1, 1 << 20)
-        for _ in range(base_plain.num_vertices)
+        rng.randint(1, 1 << 45) for _ in range(base_plain.num_vertices)
     ]
     base = Hypergraph(base_plain.num_vertices, base_plain.edges, weights)
-    state = solve_state(base, config, version=0)
+    runs = spy_lane_runs(monkeypatch)
+    # Entered at int64, which the growth-aware ``auto`` entry skips.
+    state = solve_state(base, config, version=0, lane="int64")
+    assert any(run.carries_out for run in runs)
     assert state.result == run_fastpath(base, config)
     store = MutableHypergraph(base)
     for step in range(3):
         single_component_mutation(store, seed=500 + step)
-        state = resolve_incremental(state, store)
+        state = resolve_incremental(state, store, lane="int64")
         expected = run_fastpath(store.snapshot(), config)
         assert state.result == expected, f"spill step {step} drifted"
 

@@ -4,17 +4,20 @@ PR 3 moved the batched arena's guarded int64 sweep machinery into the
 shared kernel layer (:mod:`repro.core.kernels`), added the two-limb
 ~128-bit lane, and gave the single-instance fastpath executor a
 machine-width iteration loop with a spill ladder, later widened by the
-three-limb lane (int64 -> two-limb -> three-limb -> bigint).  These
-tests pin:
+three- and four-limb lanes (int64 -> two-limb -> three-limb ->
+four-limb -> bigint).  These tests pin:
 
 * lane-forcing differential equality: every lane (``lane="int64"`` /
-  ``"two-limb"`` / ``"three-limb"`` / ``"bigint"``) produces the same
+  ``"two-limb"`` / ``"three-limb"`` / ``"four-limb"`` / ``"bigint"``)
+  produces the same
   covers, duals, iterations, rounds, levels and statistics as the
   Fraction-core lockstep executor, on structured and hypothesis
   instance mixes;
 * lane *engagement*: eligible instances actually run on the expected
-  lane (reported via ``CoverResult.lane``), and mid-run headroom
-  exhaustion spills down the ladder without changing a single bit;
+  lane (reported via ``CoverResult.lane``), ``lane="auto"`` enters the
+  lane an instance finishes on (the growth-aware entry rule and the
+  ``min_nnz`` gate), and mid-run headroom exhaustion spills down the
+  ladder without changing a single bit;
 * the fractional-weight regressions: ``repro-cover batch --json`` no
   longer crashes on Fraction weights, ``arena_eligibility`` returns
   ``(False, reason)`` instead of raising for instances it cannot
@@ -24,7 +27,7 @@ tests pin:
   :func:`~repro.lp.scaled.raw_fraction_list`: when the CPython slot
   layout fast path is unavailable, results degrade to the public
   constructor, never to wrong values;
-* the limb arithmetic itself (both limb lanes, one ``LimbOps`` class),
+* the limb arithmetic itself (every limb lane, one ``LimbOps`` class),
   against plain Python integers: worked examples plus a property test
   over every op the sweep engine calls.
 """
@@ -43,7 +46,13 @@ import repro.core.kernels as kernels_module
 import repro.lp.scaled as scaled_module
 from repro.core.batch import arena_eligibility
 from repro.core.fastpath import HAS_NUMPY, prepare_scaled_state, run_fastpath
-from repro.core.kernels import ThreeLimbOps, TwoLimbOps, lane_eligibility
+from repro.core.kernels import (
+    FourLimbOps,
+    ThreeLimbOps,
+    TwoLimbOps,
+    lane_eligibility,
+)
+from repro.core.parallel import predicted_lane
 from repro.core.params import AlgorithmConfig
 from repro.core.solver import solve_mwhvc, solve_mwhvc_batch
 from repro.exceptions import InvalidInstanceError
@@ -51,15 +60,18 @@ from repro.hypergraph import io
 from repro.hypergraph.csr import arena_incidence, pack_arena, vertex_incidence_csr
 from repro.hypergraph.generators import (
     mixed_rank_hypergraph,
+    regular_hypergraph,
     uniform_weights,
 )
 from repro.hypergraph.hypergraph import Hypergraph
+
+from conftest import spy_lane_runs
 
 needs_numpy = pytest.mark.skipif(
     not HAS_NUMPY, reason="the machine-width kernel lanes require numpy"
 )
 
-LANES = ("int64", "two-limb", "three-limb", "bigint")
+LANES = ("int64", "two-limb", "three-limb", "four-limb", "bigint")
 
 OBSERVABLES = (
     "cover",
@@ -137,7 +149,8 @@ def test_lane_equality_beyond_two_limb():
 
 
 def test_lane_equality_beyond_three_limb():
-    """Weights beyond even 2**124 take the big-int floor up front."""
+    """Weights beyond 2**124 on an instance too small for the four-limb
+    lane (below its ``min_nnz``) take the big-int floor up front."""
     weights = [10**38 + 31 * v for v in range(16)]
     hypergraph = mixed_rank_hypergraph(16, 26, 3, seed=23, weights=weights)
     config = AlgorithmConfig(epsilon=Fraction(1, 5))
@@ -191,7 +204,9 @@ def test_invalid_lane_is_rejected():
         solve_mwhvc(hypergraph, executor="congest", lane="int64")
 
 
-@pytest.mark.parametrize("lane", ["auto", "int64", "two-limb", "three-limb"])
+@pytest.mark.parametrize(
+    "lane", ["auto", "int64", "two-limb", "three-limb", "four-limb"]
+)
 def test_carry_is_accepted_only_on_the_bigint_floor(lane):
     """A spill carry resumes the big-int loop; on any other lane it is
     an error, never silently dropped."""
@@ -227,45 +242,28 @@ def test_observer_with_forced_machine_lane_is_rejected():
 
 @needs_numpy
 def test_midrun_spill_down_the_ladder(monkeypatch):
-    """Shrunken headroom forces mid-run spills; bits never change."""
+    """Shrunken headroom forces mid-run spills; bits never change.
+
+    Each step shrinks one more lane of the table; the run is forced to
+    enter at int64 (the growth-aware ``auto`` entry would skip the
+    shrunken lanes), and every step's first lane spills mid-run."""
     hypergraph = mixed_rank_hypergraph(
         20, 35, 4, seed=8, weights=uniform_weights(20, 1000, seed=9)
     )
     config = AlgorithmConfig(epsilon=Fraction(1, 7))
     reference = solve_mwhvc(hypergraph, config=config, executor="lockstep")
-
-    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 40)
-    spilled = solve_mwhvc(hypergraph, config=config, executor="fastpath")
-    assert spilled.lane in ("two-limb", "bigint")
-    for attribute in OBSERVABLES:
-        assert getattr(spilled, attribute) == getattr(reference, attribute)
-
-    monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 40)
-    widened = solve_mwhvc(hypergraph, config=config, executor="fastpath")
-    assert widened.lane in ("three-limb", "bigint")
-    for attribute in OBSERVABLES:
-        assert getattr(widened, attribute) == getattr(reference, attribute)
-
-    monkeypatch.setattr(kernels_module.LANE_TABLE["three-limb"], "headroom_bits", 40)
-    floored = solve_mwhvc(hypergraph, config=config, executor="fastpath")
-    assert floored.lane == "bigint"
-    for attribute in OBSERVABLES:
-        assert getattr(floored, attribute) == getattr(reference, attribute)
-
-
-def _spy_lane_runs(monkeypatch):
-    """Record every LaneRun the ladder constructs (in order)."""
-    from repro.core.kernels import LaneRun
-
-    runs = []
-    real_init = LaneRun.__init__
-
-    def spying_init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        runs.append(self)
-
-    monkeypatch.setattr(LaneRun, "__init__", spying_init)
-    return runs
+    runs = spy_lane_runs(monkeypatch)
+    for shrunk, name in enumerate(kernels_module.LANE_TABLE, start=1):
+        monkeypatch.setattr(kernels_module.LANE_TABLE[name], "headroom_bits", 40)
+        runs.clear()
+        result = solve_mwhvc(
+            hypergraph, config=config, executor="fastpath", lane="int64"
+        )
+        assert runs[0].ops.name == "int64" and runs[0].carries_out, name
+        assert all(run.carries_out for run in runs[:shrunk]), name
+        for attribute in OBSERVABLES:
+            assert getattr(result, attribute) == getattr(reference, attribute)
+    assert result.lane == "bigint"
 
 
 @needs_numpy
@@ -282,7 +280,7 @@ def test_scalar_spill_carry_resumes_in_place(monkeypatch, schedule):
     config = AlgorithmConfig(epsilon=Fraction(1, 7), schedule=schedule)
     reference = solve_mwhvc(hypergraph, config=config, executor="lockstep")
 
-    runs = _spy_lane_runs(monkeypatch)
+    runs = spy_lane_runs(monkeypatch)
     # Shrunken headroom admits the initial scale but trips mid-run.
     monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
     result = solve_mwhvc(hypergraph, config=config, executor="fastpath")
@@ -306,30 +304,32 @@ def test_scalar_spill_carry_resumes_in_place(monkeypatch, schedule):
 @needs_numpy
 @pytest.mark.parametrize("schedule", ["spec", "compact"])
 def test_scalar_spill_carry_to_bigint(monkeypatch, schedule):
-    """Every boundary: int64 -> two-limb -> three-limb -> bigint,
-    resuming three times."""
+    """Every boundary: each machine lane of the table spills in turn,
+    resuming once per lane, and the big-int loop finishes."""
     hypergraph = mixed_rank_hypergraph(
         20, 35, 4, seed=8, weights=uniform_weights(20, 1000, seed=9)
     )
     config = AlgorithmConfig(epsilon=Fraction(1, 7), schedule=schedule)
     reference = solve_mwhvc(hypergraph, config=config, executor="lockstep")
-    runs = _spy_lane_runs(monkeypatch)
+    runs = spy_lane_runs(monkeypatch)
     # Equal budgets: each resumed engine re-executes the interrupted
-    # sweep and trips the same ceiling, carrying again.
-    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
-    monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 41)
-    monkeypatch.setattr(kernels_module.LANE_TABLE["three-limb"], "headroom_bits", 41)
-    result = solve_mwhvc(hypergraph, config=config, executor="fastpath")
+    # sweep and trips the same ceiling, carrying again.  A forced start
+    # enters int64 (on admission of the bare scale) and skips the
+    # ``min_nnz`` gate, so every lane runs.
+    for row in kernels_module.LANE_TABLE.values():
+        monkeypatch.setattr(row, "headroom_bits", 41)
+    result = solve_mwhvc(
+        hypergraph, config=config, executor="fastpath", lane="int64"
+    )
     assert result.lane == "bigint"
     for attribute in OBSERVABLES:
         assert getattr(result, attribute) == getattr(reference, attribute)
     # Every machine engine spilled with a carry; offsets chain upward.
-    assert [run.ops.name for run in runs] == [
-        "int64", "two-limb", "three-limb"
-    ]
+    assert [run.ops.name for run in runs] == list(kernels_module.LANE_TABLE)
     carries = [run.carries_out[0] for run in runs]
     assert int(runs[1].offsets[0]) == carries[0]["iterations"] >= 1
-    assert int(runs[2].offsets[0]) == carries[1]["iterations"]
+    for run, carry in zip(runs[1:], carries):
+        assert int(run.offsets[0]) == carry["iterations"]
     previous = 0
     for carry in carries:
         assert carry["iterations"] >= previous
@@ -345,7 +345,7 @@ def test_two_limb_spill_resumes_on_three_limb(monkeypatch):
     )
     config = AlgorithmConfig(epsilon=Fraction(1, 7))
     reference = solve_mwhvc(hypergraph, config=config, executor="lockstep")
-    runs = _spy_lane_runs(monkeypatch)
+    runs = spy_lane_runs(monkeypatch)
     monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 41)
     result = solve_mwhvc(
         hypergraph, config=config, executor="fastpath", lane="two-limb"
@@ -368,7 +368,7 @@ def test_int64_spill_skips_ineligible_two_limb(monkeypatch):
     )
     config = AlgorithmConfig(epsilon=Fraction(1, 7))
     reference = solve_mwhvc(hypergraph, config=config, executor="lockstep")
-    runs = _spy_lane_runs(monkeypatch)
+    runs = spy_lane_runs(monkeypatch)
     monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
     monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 20)
     result = solve_mwhvc(hypergraph, config=config, executor="fastpath")
@@ -402,7 +402,7 @@ def test_arena_spill_carry_resumes_in_place(monkeypatch, schedule):
         for hypergraph in batch
     ]
 
-    runs = _spy_lane_runs(monkeypatch)
+    runs = spy_lane_runs(monkeypatch)
     monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
     results = solve_mwhvc_batch(batch, config=config)
     for position, (solo, batched) in enumerate(zip(solos, results)):
@@ -422,6 +422,87 @@ def test_arena_spill_carry_resumes_in_place(monkeypatch, schedule):
     # resumed member at its carried iteration.
     assert offsets[0] == 0
     assert offsets[-1] == carry["iterations"] >= 1
+
+
+@needs_numpy
+def test_four_limb_spill_resumes_on_bigint(monkeypatch):
+    """A four-limb overflow carries onto the big-int loop mid-run."""
+    hypergraph = mixed_rank_hypergraph(
+        20, 35, 4, seed=8, weights=uniform_weights(20, 1000, seed=9)
+    )
+    config = AlgorithmConfig(epsilon=Fraction(1, 7))
+    reference = solve_mwhvc(hypergraph, config=config, executor="lockstep")
+    runs = spy_lane_runs(monkeypatch)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["four-limb"], "headroom_bits", 41)
+    result = solve_mwhvc(
+        hypergraph, config=config, executor="fastpath", lane="four-limb"
+    )
+    assert result.lane == "bigint"
+    for attribute in OBSERVABLES:
+        assert getattr(result, attribute) == getattr(reference, attribute)
+    assert [run.ops.name for run in runs] == ["four-limb"]
+    carry = runs[0].carries_out[0]
+    assert 1 <= carry["iterations"] < result.iterations
+
+
+def regular_instance(n, max_weight, seed):
+    """A regular rank-3, degree-6 instance, the corpus benchmark's shape."""
+    return regular_hypergraph(
+        n, 3, 6, seed=seed, weights=uniform_weights(n, max_weight, seed=seed + 7)
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "max_weight, lane",
+    [
+        (10**4, "int64"),
+        (10**10, "two-limb"),
+        (10**18, "three-limb"),
+        (10**30, "four-limb"),
+    ],
+)
+def test_auto_enters_the_lane_it_finishes_on(monkeypatch, max_weight, lane):
+    """At eps = 1/200 each weight class enters, with room for half the
+    Claim-4 scale growth, the lane it finishes on: one lane run, no
+    carry, and the cost model's prediction names the same lane."""
+    config = AlgorithmConfig(epsilon=Fraction(1, 200))
+    hypergraph = regular_instance(480, max_weight, seed=1)
+    runs = spy_lane_runs(monkeypatch)
+    result = solve_mwhvc(hypergraph, config=config, executor="fastpath")
+    assert result.lane == lane
+    assert [run.ops.name for run in runs] == [lane]
+    assert not runs[0].carries_out
+    assert predicted_lane(hypergraph, config) == lane
+
+
+@needs_numpy
+def test_min_nnz_gate_sends_small_arenas_to_bigint(monkeypatch):
+    """One 10**30-weight batch on both sides of four-limb's ``min_nnz``:
+    below it the arena runs on the big-int loop, at it on four-limb,
+    with the same bits; a forced lane ignores the gate."""
+    config = AlgorithmConfig(epsilon=Fraction(1, 200))
+    batch = [regular_instance(60, 10**30, seed=seed) for seed in range(4)]
+    total = sum(hypergraph.nnz for hypergraph in batch)
+    row = kernels_module.LANE_TABLE["four-limb"]
+    assert total < row.min_nnz
+    runs = spy_lane_runs(monkeypatch)
+    below = solve_mwhvc_batch(batch, config=config)
+    assert not runs
+    assert {result.lane for result in below} == {"bigint"}
+    monkeypatch.setattr(row, "min_nnz", total)
+    at = solve_mwhvc_batch(batch, config=config)
+    assert [run.ops.name for run in runs] == ["four-limb"]
+    assert {result.lane for result in at} == {"four-limb"}
+    for left, right in zip(below, at):
+        for attribute in OBSERVABLES:
+            assert getattr(left, attribute) == getattr(right, attribute)
+    monkeypatch.setattr(row, "min_nnz", total + 1)
+    forced = solve_mwhvc(
+        batch[0], config=config, executor="fastpath", lane="four-limb"
+    )
+    assert forced.lane == "four-limb"
+    assert forced.dual == below[0].dual
 
 
 DIFFERENTIAL_SETTINGS = settings(
@@ -773,12 +854,63 @@ def test_three_limb_roundtrip_and_ops():
     ]
 
 
+@needs_numpy
+def test_four_limb_roundtrip_and_ops():
+    import numpy as np
+
+    # Values past the three-limb 2**124 ceiling, up to just under the
+    # four-limb 2**156 one, beside values that leave the top words 0.
+    values = [0, 1, (1 << 64) + 12345, (1 << 123) + 9,
+              (1 << 124) + (1 << 96) + 5, (1 << 155) + (1 << 100) + 3,
+              (10**30) * 7 + 1]
+    quad = FourLimbOps.from_list(values)
+    assert len(quad) == 4
+    assert FourLimbOps.tolist_slice(quad, slice(None)) == values
+
+    small = [1, (1 << 64) - 1, (1 << 90) + 7, 10**27]
+    factors = np.array(
+        [(1 << 62) - 1, (1 << 35) + 3, 2**31 - 1, 601], dtype=np.int64
+    )
+    product = FourLimbOps.mul_int(FourLimbOps.from_list(small), factors)
+    assert FourLimbOps.tolist_slice(product, slice(None)) == [
+        value * int(factor) for value, factor in zip(small, factors)
+    ]
+
+    shifts = np.array([0, 100, 31, 60, 1, 0, 20], dtype=np.int64)
+    bases = [value >> 101 if shift == 100 else value >> 61 for value, shift
+             in zip(values, shifts.tolist())]
+    shifted = FourLimbOps.shl(FourLimbOps.from_list(bases), shifts)
+    assert FourLimbOps.tolist_slice(shifted, slice(None)) == [
+        value << int(shift) for value, shift in zip(bases, shifts)
+    ]
+    back = FourLimbOps.shr_exact(shifted, shifts)
+    assert FourLimbOps.tolist_slice(back, slice(None)) == bases
+
+    nonzero = [value for value in values if value] + [1 << 130]
+    tz = FourLimbOps.trailing_zeros(FourLimbOps.from_list(nonzero))
+    assert tz.tolist() == [(value & -value).bit_length() - 1 for value in nonzero]
+
+    left = FourLimbOps.from_list([1 << 150, (1 << 128) + 1, 3])
+    right = FourLimbOps.from_list([(1 << 150) + 1, 1 << 128, 3])
+    assert FourLimbOps.gt(left, right).tolist() == [False, True, False]
+    assert FourLimbOps._ge(left, right).tolist() == [False, True, True]
+
+    cells = FourLimbOps.from_list([1 << 140, (1 << 96) - 1, 1, 1 << 150])
+    starts = np.array([0, 2], dtype=np.int64)
+    sums = FourLimbOps.reduceat(cells, starts)
+    assert FourLimbOps.tolist_slice(sums, slice(None)) == [
+        (1 << 140) + (1 << 96) - 1, (1 << 150) + 1
+    ]
+
+
 #: Every limb lane of the table, so a new row is property-tested as is.
 LIMB_LANES = [
     name
     for name, row in kernels_module.LANE_TABLE.items()
     if isinstance(row.ops, kernels_module.LimbOps)
 ]
+assert LIMB_LANES == ["two-limb", "three-limb", "four-limb"]
+assert kernels_module.LANE_TABLE["four-limb"].ops is FourLimbOps
 
 
 @needs_numpy
@@ -852,6 +984,7 @@ def test_property_limb_ops_match_python_ints(ops, headroom, factor_bits, data):
         ((2**31 - 1) << 32) | (2**32 - 1), 2**31 << 32, 2**63 - 1, 2**63,
     ]
     bound += [2**64, (2**64) | (2**63 - 1)] if ops.limbs > 2 else []
+    bound += [2**96, (2**96) | (2**64 - 1)] if ops.limbs > 3 else []
     for values in ([value] for value in bound):
         assert back(ops.from_list(values)) == values
     recombined = back(ops.from_list(bound))
@@ -1095,7 +1228,7 @@ def test_run_fastpath_state_survives_lane_spills(monkeypatch):
         # them: the same state still equals a fresh iteration 0.
         state = prepare_scaled_state(hypergraph, config)
         assert not isinstance(state.bid, list)
-        for lane in ("int64", "two-limb", "three-limb"):
+        for lane in kernels_module.MACHINE_LANES:
             laned = run_fastpath(hypergraph, config, state=state, lane=lane)
             assert laned.lane == lane
             assert laned.dual == reference.dual
@@ -1103,9 +1236,8 @@ def test_run_fastpath_state_survives_lane_spills(monkeypatch):
         assert state.scale == fresh.scale
         for field in ("bid", "total_delta", "degrees"):
             assert getattr(state, field).tolist() == getattr(fresh, field).tolist()
-    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 4)
-    monkeypatch.setattr(kernels_module.LANE_TABLE["two-limb"], "headroom_bits", 4)
-    monkeypatch.setattr(kernels_module.LANE_TABLE["three-limb"], "headroom_bits", 4)
+    for row in kernels_module.LANE_TABLE.values():
+        monkeypatch.setattr(row, "headroom_bits", 4)
     state = prepare_scaled_state(hypergraph, config)
     floored = run_fastpath(hypergraph, config, state=state)
     assert floored.lane == "bigint"

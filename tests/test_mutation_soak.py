@@ -7,8 +7,8 @@ of the operations a dynamic deployment would see —
 
 * edge additions (including rank-raising ones, which force the
   ambient-pinning fallback), removals, vertex reweights (int-,
-  huge-int- and Fraction-valued; the huge ones overflow the shrunken
-  int64 headroom budget and carry down the spill ladder mid-solve) and
+  huge-int- and Fraction-valued; the huge ones outgrow the shrunken
+  int64 headroom budget, at entry or mid-solve) and
   vertex additions;
 * warm re-solves at arbitrary points in the mutation stream
   (:func:`~repro.core.incremental.resolve_incremental` reading the
@@ -57,7 +57,8 @@ OBSERVABLES = (
 )
 
 #: Shrunken int64 headroom for the whole soak: huge-int reweights then
-#: overflow the int64 arena mid-run and carry down the spill ladder.
+#: enter a limb lane, or overflow the int64 arena mid-run and carry
+#: down the spill ladder.
 #: Results are lane-independent, so the solo reference is unaffected.
 SOAK_HEADROOM_BITS = 44
 
@@ -76,7 +77,7 @@ SOAK_SETTINGS = settings(
 )
 
 INT_WEIGHTS = st.integers(min_value=1, max_value=10**6)
-#: Large enough that the shrunken 44-bit budget forces mid-run spills.
+#: Large enough to outgrow the shrunken 44-bit int64 budget.
 SPILL_WEIGHTS = st.integers(min_value=10**9, max_value=10**13)
 FRACTION_WEIGHTS = st.fractions(
     min_value=Fraction(1, 64),

@@ -197,7 +197,7 @@ class TestResultSerialization:
         assert list(data["dual"]) == [str(edge) for edge in result.dual]
 
     @pytest.mark.parametrize(
-        "lane", ["int64", "two-limb", "three-limb", "bigint"]
+        "lane", ["int64", "two-limb", "three-limb", "four-limb", "bigint"]
     )
     @pytest.mark.parametrize("weights", ["int", "fraction", "huge"])
     def test_scaled_dual_encodes_like_its_dict(self, lane, weights):

@@ -53,6 +53,8 @@ from repro.hypergraph.generators import (
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.store import decode_arena, encode_arena
 
+from conftest import spy_lane_runs
+
 OBSERVABLES = (
     "cover",
     "weight",
@@ -295,6 +297,11 @@ def test_forced_spills_inside_workers(monkeypatch):
         for hypergraph in batch
     ]
     monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 41)
+    # In process, this budget spills the last instance mid-run; its
+    # ladder does not depend on the shard it shares.
+    runs = spy_lane_runs(monkeypatch)
+    run_fastpath_batch(batch, config)
+    assert any(run.carries_out for run in runs)
     parallel = run_fastpath_batch_parallel(batch, config, jobs=2)
     lanes = {result.lane for result in parallel}
     assert lanes - {"int64"}, f"expected spilled lanes, got {lanes}"
@@ -331,6 +338,48 @@ def test_worker_payload_carries_the_whole_lane_table(monkeypatch):
         for attribute in OBSERVABLES:
             assert getattr(result, attribute) == getattr(
                 solo, attribute
+            ), (position, attribute)
+
+
+@pytest.mark.skipif(
+    not HAS_NUMPY, reason="the lane budgets need the machine lanes"
+)
+def test_four_limb_spill_inside_workers(monkeypatch):
+    """With only four-limb admitting (41 bits, ``min_nnz`` 0), one
+    instance finishes on four-limb and one spills mid-run to the big-int
+    loop, in process and inside ``jobs=2`` workers alike: the payload
+    ships each row's ``min_nnz`` with its budgets."""
+    config = AlgorithmConfig(epsilon=Fraction(1, 7))
+    batch = [
+        mixed_rank_hypergraph(
+            20, 35, 4, seed=8, weights=uniform_weights(20, 1000, seed=9)
+        ),
+        mixed_rank_hypergraph(
+            10, 15, 3, seed=1, weights=uniform_weights(10, 10, seed=2)
+        ),
+    ]
+    references = [
+        solve_mwhvc(hypergraph, config=config, executor="lockstep")
+        for hypergraph in batch
+    ]
+    # Start the workers on the default table, so only the payload can
+    # hand them the budgets below.
+    run_fastpath_batch_parallel(batch, config, jobs=2)
+    for name, row in kernels_module.LANE_TABLE.items():
+        monkeypatch.setattr(row, "headroom_bits", 41 if name == "four-limb" else 4)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["four-limb"], "min_nnz", 0)
+    runs = spy_lane_runs(monkeypatch)
+    expected = run_fastpath_batch(batch, config)
+    assert [run.ops.name for run in runs] == ["four-limb"]
+    assert list(runs[0].carries_out) == [0]
+    assert [result.lane for result in expected] == ["bigint", "four-limb"]
+    parallel = run_fastpath_batch_parallel(batch, config, jobs=2)
+    for position, result in enumerate(parallel):
+        assert result.worker is not None, position
+        assert result.lane == expected[position].lane, position
+        for attribute in OBSERVABLES:
+            assert getattr(result, attribute) == getattr(
+                references[position], attribute
             ), (position, attribute)
 
 
@@ -518,8 +567,11 @@ def test_property_parallel_matches_sequential(
     epsilon=st.sampled_from([Fraction(1, 3), Fraction(1, 7)]),
 )
 def test_property_parallel_spill_mixes(monkeypatch, hypergraphs, epsilon):
-    """Workers inherit shrunken budgets: spill ladders inside workers
-    (int64 -> two-limb -> bigint, with carries) stay bit-identical."""
+    """Workers inherit shrunken budgets: under a 44-bit int64 lane the
+    drawn instances enter whichever lane admits them, and the results
+    stay bit-identical.  Mid-run carries inside workers are pinned by
+    ``test_forced_spills_inside_workers`` and
+    ``test_four_limb_spill_inside_workers``."""
     monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 44)
     config = AlgorithmConfig(epsilon=epsilon)
     assert_parallel_matches_sequential(

@@ -30,6 +30,7 @@ pin that durability is *invisible* in results and *loud* in failure:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import sys
@@ -43,7 +44,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.kernels as kernels_module
-from repro.core.batch import run_fastpath_batch
+from repro.core.batch import run_fastpath_batch, run_ladder
 from repro.core.corpus import (
     ArenaCatalog,
     pack_corpus,
@@ -73,6 +74,8 @@ from repro.hypergraph.store import (
     load_arena,
     save_arena,
 )
+
+from conftest import spy_lane_runs
 
 needs_numpy = pytest.mark.skipif(
     not HAS_NUMPY, reason="mmap views require numpy"
@@ -271,15 +274,23 @@ def test_store_solve_matches_memory_fractional_weights(tmp_path):
 
 @needs_numpy
 def test_store_solve_matches_memory_forced_spill(tmp_path, monkeypatch):
-    """Shrunken headroom forces mid-run spills on both paths alike."""
+    """Shrunken headroom forces mid-run spills on both paths alike (the
+    ladder entered at int64, which ``auto`` would skip at this budget)."""
     config = AlgorithmConfig(epsilon=Fraction(1, 3))
     hypergraphs = random_batch(6, base_seed=4)
     arena, loaded, _ = roundtrip(tmp_path, hypergraphs)
-    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 34)
-    expected = run_fastpath_batch(hypergraphs, config, arena=arena)
-    actual = run_fastpath_batch(
-        arena_hypergraphs(loaded), config, arena=loaded
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 26)
+    runs = spy_lane_runs(monkeypatch)
+    expected = run_ladder(
+        hypergraphs, config, verify=True, start="int64", arena=arena
     )
+    assert runs[0].ops.name == "int64" and runs[0].carries_out
+    runs.clear()
+    actual = run_ladder(
+        arena_hypergraphs(loaded), config, verify=True, start="int64",
+        arena=loaded,
+    )
+    assert runs[0].ops.name == "int64" and runs[0].carries_out
     assert_same_results(actual, expected)
 
 
@@ -685,6 +696,34 @@ def test_update_instance_repacks_only_its_segment(tmp_path):
         for result in segment.results
     ]
     assert_same_results(actual, run_fastpath_batch(mutated))
+
+
+def test_manifest_digests_match_the_segment_files(tmp_path):
+    """``save_arena`` hashes the container as it writes it: after a pack
+    and after an update, every manifest digest is the file's SHA-256,
+    and the bytes on disk are ``encode_arena``'s."""
+    hypergraphs, catalog = _packed_corpus(tmp_path)
+
+    def assert_digests_match(directory):
+        manifest = json.loads((directory / "manifest.json").read_text())
+        for segment in manifest["segments"]:
+            raw = (directory / segment["file"]).read_bytes()
+            assert segment["sha256"] == hashlib.sha256(raw).hexdigest()
+
+    assert_digests_match(catalog.directory)
+    assert catalog.segment_path(0).read_bytes() == encode_arena(
+        pack_arena(hypergraphs[:4])
+    )
+    before = catalog.segments[0].sha256
+    replacement = mixed_rank_hypergraph(
+        9, 13, 3, seed=42, weights=uniform_weights(9, 11, seed=43)
+    )
+    catalog.update_instance("inst-001", replacement)
+    assert catalog.segments[0].sha256 != before
+    assert_digests_match(catalog.directory)
+    assert save_arena(
+        pack_arena(hypergraphs), tmp_path / "whole.arena"
+    ) == hashlib.sha256((tmp_path / "whole.arena").read_bytes()).hexdigest()
 
 
 def test_pack_corpus_refuses_duplicate_ids(tmp_path):

@@ -31,7 +31,7 @@ from fractions import Fraction
 import pytest
 
 import repro.core.kernels as kernels_module
-from repro.core.batch import run_fastpath_batch
+from repro.core.batch import run_fastpath_batch, run_ladder
 from repro.core.fastpath import HAS_NUMPY, run_fastpath
 from repro.core.faults import FaultPlan
 from repro.core.params import AlgorithmConfig
@@ -56,6 +56,8 @@ from repro.hypergraph.generators import (
     uniform_weights,
 )
 from repro.hypergraph.hypergraph import Hypergraph
+
+from conftest import spy_lane_runs
 
 OBSERVABLES = (
     "cover",
@@ -153,11 +155,15 @@ def test_batch_arena_reuse_matches_repack():
 def test_batch_arena_reuse_with_forced_spills(monkeypatch):
     """Shrunken headroom: arena reuse stays exact when instances spill
     mid-run down the lane ladder (slice groups shrink and carry)."""
-    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 44)
+    monkeypatch.setattr(kernels_module.LANE_TABLE["int64"], "headroom_bits", 38)
     config = AlgorithmConfig(epsilon=Fraction(1, 7))
     batch = random_batch(5, base_seed=4, max_weight=1000)
     arena = pack_arena(batch)
-    reused = run_fastpath_batch(batch, config, arena=arena)
+    runs = spy_lane_runs(monkeypatch)
+    # Entered at int64, which the growth-aware ``auto`` entry skips for
+    # most of the batch at this budget.
+    reused = run_ladder(batch, config, verify=True, start="int64", arena=arena)
+    assert runs[0].ops.name == "int64" and runs[0].carries_out
     for hypergraph, result in zip(batch, reused):
         assert_matches_solo(hypergraph, result, config)
 
@@ -239,6 +245,11 @@ def test_streamed_spills_stay_exact(monkeypatch):
             20, 35, 4, seed=8, weights=uniform_weights(20, 1000, seed=9)
         )
     ]
+    # In process, these budgets spill the last instance mid-run; its
+    # ladder does not depend on the shard it shares.
+    runs = spy_lane_runs(monkeypatch)
+    run_fastpath_batch(batch, config)
+    assert any(run.carries_out for run in runs)
     with BatchSession(config, jobs=2, max_batch=2) as session:
         tickets = [session.submit(hypergraph) for hypergraph in batch]
         results = [ticket.result(timeout=120) for ticket in tickets]

@@ -4,9 +4,9 @@ A hypothesis :class:`RuleBasedStateMachine` drives one
 :class:`~repro.core.stream.BatchSession` through adversarial
 interleavings of the operations a serving deployment would see —
 
-* submits of int-weighted, huge-int-weighted (spill-forcing under the
-  soak's shrunken int64 headroom budget, which ships to workers with
-  every payload) and Fraction-weighted instances, singly and in
+* submits of int-weighted, huge-int-weighted (past the soak's shrunken
+  int64 headroom budget, which ships to workers with every payload)
+  and Fraction-weighted instances, singly and in
   bursts (bursts pile up pending shards, the precondition for
   steals/splits);
 * blocking result waits for arbitrary outstanding tickets, forcing
@@ -61,10 +61,10 @@ OBSERVABLES = (
 )
 
 #: Shrunken int64 headroom for the whole soak: big-int-weighted
-#: submissions then overflow the int64 arena mid-run and carry down
-#: the spill ladder inside workers (the budget ships with every
-#: payload).  Results are lane-independent, so the solo reference is
-#: unaffected.
+#: submissions then enter a limb lane, or overflow the int64 arena
+#: mid-run and carry down the spill ladder, inside workers (the budget
+#: ships with every payload).  Results are lane-independent, so the
+#: solo reference is unaffected.
 SOAK_HEADROOM_BITS = 44
 
 #: Worker crashes per machine run are bounded: each one breaks and
@@ -107,7 +107,7 @@ def soak_hypergraphs(draw, weight_pool):
 
 
 INT_WEIGHTS = st.integers(min_value=1, max_value=10**6)
-#: Large enough that the shrunken 44-bit budget forces mid-run spills.
+#: Large enough to outgrow the shrunken 44-bit int64 budget.
 SPILL_WEIGHTS = st.integers(min_value=10**9, max_value=10**13)
 FRACTION_WEIGHTS = st.fractions(
     min_value=Fraction(1, 64),
