@@ -665,7 +665,7 @@ class MachineLane:
 
 #: Every machine lane, strongest first (the spill ladder appends the
 #: unbounded big-int loop after these).  Nothing outside this table
-#: names a lane's ops, budgets or cost.
+#: names a lane's ops, budgets, cost or ``min_nnz``.
 LANE_TABLE = {
     # Plain int64 cells.  Any int64 multiplier is valid; the 62-bit
     # headroom is the bound that binds.
