@@ -77,8 +77,9 @@ class InstanceRecord:
     nnz: int
     max_rank: int
     #: Kernel lane :func:`~repro.core.parallel.predicted_lane` expects
-    #: under the catalog's default config (advisory: the executor's
-    #: spill ladder re-checks at run time).
+    #: a solo solve to finish on under the catalog's default config
+    #: (advisory: the executor's spill ladder re-checks at run time, and
+    #: a batched solve gates ``min_nnz`` on the whole lane arena).
     lane: str
     #: SHA-256 of the canonical ``.hg`` text — a content address, so
     #: identical instances hash identically across corpora.

@@ -106,7 +106,9 @@ __all__ = [
 HAS_NUMPY = _np is not None
 
 #: Valid ``lane=`` arguments: the spill ladder, strongest first, plus
-#: ``"auto"`` (equivalent to starting at the top).
+#: ``"auto"``, which enters through :func:`repro.core.kernels.entry_lane`
+#: and is subject to each row's ``min_nnz``; a named lane starts the
+#: ladder at that lane.
 LANES = ("auto",) + MACHINE_LANES + ("bigint",)
 
 
@@ -156,11 +158,6 @@ class ScaledState:
 #: weight x scale bid numerators, per-vertex bid sums) must stay below
 #: this, or the pass bows out to the scalar loop.
 _FUSED_INT64_LIMIT = 1 << 62
-
-#: Largest contribution bound for which the fused pass finds the
-#: scale's distinct lcm contributions with a bincount (one counter per
-#: possible value) instead of sorting them.
-_BINCOUNT_LIMIT = 1 << 16
 
 
 def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
@@ -277,13 +274,7 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
                 raised_dens // _np.gcd(argmin_w * alpha_num, raised_dens),
             )
         )
-    # Every contribution divides ``2 Delta * alpha_den``: below a small
-    # bound, a bincount finds the distinct values without a sort.
-    if 2 * max_degree * max(dens) < _BINCOUNT_LIMIT:
-        distinct = _np.flatnonzero(_np.bincount(contributions))
-    else:
-        distinct = _np.unique(contributions)
-    scale = lcm(*distinct.tolist())
+    scale = lcm(*_np.unique(contributions).tolist())
 
     # Initial bids and the per-vertex bid sums, vectorized while the
     # products fit int64 (the scalar tail keeps exactness beyond).

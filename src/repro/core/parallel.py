@@ -125,6 +125,12 @@ def predicted_lane(hypergraph: Hypergraph, config: AlgorithmConfig) -> str:
     instance's own nnz.  Structural disqualifiers (no numpy,
     fractional alphas, checked mode) predict ``"bigint"`` — those
     instances really do run the scalar loop.
+
+    The prediction is for a solo solve even where the caller batches:
+    the corpus manifest's ``lane`` field and the shard cost estimates
+    use it as is, though in a batch the ``min_nnz`` gate sees the whole
+    lane arena, so a small instance predicted ``"bigint"`` may finish
+    on the machine lane its arena shares.
     """
     if hypergraph.num_edges == 0:
         return "int64"

@@ -126,7 +126,7 @@ class TestLocalAlphaEndToEnd:
 #: The alpha policies whose fused iteration-0 scale must equal the
 #: scalar pass's: integral alphas (theorem9's 2 at these degrees, and
 #: local's per-edge values), a fractional fixed one, and a fixed one
-#: whose denominator puts the contribution bound past the bincount.
+#: with a wide denominator.
 SCALE_CONFIGS = {
     "theorem9": {},
     "local": {"alpha_policy": "local"},
@@ -142,8 +142,7 @@ SCALE_CONFIGS = {
 @pytest.mark.parametrize("seed", range(4))
 def test_fused_scale_equals_scalar_scale(monkeypatch, policy, seed):
     """The fused pass skips the raised-contribution gcds under integral
-    alphas and finds distinct contributions by bincount below a small
-    bound; neither may change the scale the scalar pass computes."""
+    alphas; that may not change the scale the scalar pass computes."""
     weights = [
         (v % 7 + 1) * (3 ** (v % 4)) * (2 ** (v % 5)) for v in range(24)
     ]

@@ -45,10 +45,6 @@ from conftest import spy_lane_runs
 
 LANES = ("int64", "two-limb", "three-limb", "four-limb", "bigint")
 
-needs_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="forced spills need the machine lanes"
-)
-
 
 @pytest.fixture(autouse=True, scope="module")
 def _teardown_pool():
@@ -365,7 +361,6 @@ def test_unknown_lane_is_rejected():
         solve_state(multi_component(31), AlgorithmConfig(), lane="float128")
 
 
-@needs_numpy
 def test_differential_gate_forced_midrun_spills(monkeypatch):
     """Shrunken headrooms force spill-carry resumes inside fragments;
     the incremental result must still match from-scratch exactly."""
@@ -384,7 +379,8 @@ def test_differential_gate_forced_midrun_spills(monkeypatch):
     runs = spy_lane_runs(monkeypatch)
     # Entered at int64, which the growth-aware ``auto`` entry skips.
     state = solve_state(base, config, version=0, lane="int64")
-    assert any(run.carries_out for run in runs)
+    if HAS_NUMPY:  # without numpy every fragment runs the big-int loop
+        assert any(run.carries_out for run in runs)
     assert state.result == run_fastpath(base, config)
     store = MutableHypergraph(base)
     for step in range(3):
