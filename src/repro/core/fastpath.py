@@ -139,11 +139,13 @@ class ScaledState:
     two executors cannot diverge at initialization.
 
     ``bid``, ``total_delta`` and ``degrees`` are plain lists from the
-    scalar pass but stay int64 ndarrays when the fused pass produced
-    them and they fit — :class:`~repro.core.kernels.LaneRun` builds
-    its slabs from either form without writing to them, and the
-    big-int loop converts to Python-int lists at its entry (numpy
-    scalars must never reach the exact big-int arithmetic).
+    scalar pass.  The fused pass keeps ``degrees`` an int64 ndarray,
+    and ``bid`` and ``total_delta`` too while they fit int64; wider
+    ones (large weights times the scale) are Python-int lists.
+    :class:`~repro.core.kernels.LaneRun` builds its slabs from either
+    form without writing to them, and the big-int loop converts to
+    Python-int lists at its entry (numpy scalars must never reach the
+    exact big-int arithmetic).
     """
 
     alpha: Fraction | list[Fraction]
@@ -153,10 +155,11 @@ class ScaledState:
     degrees: list[int]  # or int64 ndarray (fused pass)
 
 
-#: Magnitude ceiling for the fused iteration-0 pass: every intermediate
-#: product it forms on int64 arrays (weight x degree cross products,
-#: weight x scale bid numerators, per-vertex bid sums) must stay below
-#: this, or the pass bows out to the scalar loop.
+#: Magnitude ceiling for the fused iteration-0 pass's int64 products:
+#: the ``w* x scale`` bid numerators, the per-vertex bid sums, and,
+#: under fractional alphas only, ``w* x alpha_num`` and ``2 |E(v*)| x
+#: alpha_den``.  Bids and sums past it stay Python ints; fractional
+#: alphas past it take the scalar loop.
 _FUSED_INT64_LIMIT = 1 << 62
 
 
@@ -173,34 +176,44 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     argmin candidates (any cell within a relative band far wider than
     float64 error), and each shortlist of size > 1 is resolved with
     the same integer cross products :func:`argmin_member` uses — so
-    the result is bit-identical to the scalar pass.  Returns ``None``
-    for instances the guards exclude (no numpy, fractional weights,
-    or magnitudes near int64).  The bids and per-vertex fields stay
-    int64 arrays while they fit (see :class:`ScaledState`).
+    the result is bit-identical to the scalar pass.
+
+    Integer weights of any width below float64's range run here: a
+    weight past int64 enters the gcds as its residue modulo ``2
+    |E(v*)|`` (``gcd(w, 2d) = gcd(w mod 2d, 2d)``), and bids whose
+    numerators pass int64 are Python ints summed by
+    :meth:`~repro.hypergraph.hypergraph.Hypergraph._vertex_sums`.
+    Returns ``None`` without numpy, for fractional weights, weights
+    past float64, and fractional alphas whose int64 gcd terms would
+    not fit.  The bids and per-vertex fields stay int64 arrays while
+    they fit (see :class:`ScaledState`).
     """
     if _np is None:
         return None
     n = hypergraph.num_vertices
     m = hypergraph.num_edges
     rank = hypergraph.rank
-    if m == 0:
+    if m == 0 or not hypergraph.weights_all_int:
         return None
     # The instance's CSR arrays (array-backed instances hold them; a
     # tuple-built one converts once and keeps them for the packer).
     arrays = hypergraph._arrays()
+    if arrays is None:
+        return None
     weights_arr = hypergraph.weights_int64()
-    if arrays is None or weights_arr is None:
-        return None
-    max_weight = int(weights_arr.max()) if n else 0
-    if max_weight >= _FUSED_INT64_LIMIT:
-        return None
+    if weights_arr is None:
+        try:
+            ratio_weights = _np.array(hypergraph.weights, dtype=_np.float64)
+        except OverflowError:
+            return None
+    else:
+        ratio_weights = weights_arr
+    max_weight = hypergraph.max_weight
     cells, offsets = arrays
     starts = offsets[:-1]
     lengths = _np.diff(offsets)
     degrees_arr = _np.bincount(cells, minlength=n)
     max_degree = int(degrees_arr.max())
-    if max_weight * max_degree >= _FUSED_INT64_LIMIT:
-        return None
 
     # The instance's distinct alphas; ``which`` picks each edge's.
     if config.alpha_policy == "local":
@@ -214,17 +227,22 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     else:
         alpha = resolve_alpha(config, rank, max_degree)
         alphas, which = [alpha], 0
-    # The scale's int64 gcds below are exact while ``w* * alpha_num``
-    # and ``2 |E(v*)| * alpha_den`` stay under the ceiling.
+    # Fractional alphas add gcds of ``w* * alpha_num`` against ``2
+    # |E(v*)| * alpha_den`` below, exact on int64 under the ceiling.
     nums, dens = zip(*[(a.numerator, a.denominator) for a in alphas])
-    if max(max_weight * max(nums), 2 * max_degree * max(dens)) >= _FUSED_INT64_LIMIT:
+    fractional = max(dens) > 1
+    if fractional and (
+        weights_arr is None
+        or max(max_weight * max(nums), 2 * max_degree * max(dens))
+        >= _FUSED_INT64_LIMIT
+    ):
         return None
 
     # Argmin per edge: minimize w(v)/|E(v)|, ties by vertex id.  The
     # float64 ratio is only a shortlist (its relative error is ~2^-52,
     # the acceptance band 2^-30); edges whose band holds more than one
     # cell are resolved exactly.
-    ratios = weights_arr[cells] / degrees_arr[cells]
+    ratios = ratio_weights[cells] / degrees_arr[cells]
     edge_of_cell = _np.repeat(_np.arange(m, dtype=_np.int64), lengths)
     band = _np.minimum.reduceat(ratios, starts) * (1.0 + 2.0**-30)
     candidate = _np.flatnonzero(ratios <= band[edge_of_cell])
@@ -253,8 +271,22 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
                 + owner_counts[position]
             ].tolist()
             argmin_v[position] = argmin_member(members, weights, degrees)[0]
-    argmin_w = weights_arr[argmin_v]
     argmin_d = degrees_arr[argmin_v]
+    bid_dens = 2 * argmin_d
+    if weights_arr is None:
+        # Past int64 the argmin weights stay Python ints; the gcds read
+        # their residues, since ``gcd(w, 2d) = gcd(w mod 2d, 2d)``.
+        weights = hypergraph.weights
+        argmin_w = [weights[vertex] for vertex in argmin_v.tolist()]
+        residues = _np.array(
+            [
+                weight % bid_den
+                for weight, bid_den in zip(argmin_w, bid_dens.tolist())
+            ],
+            dtype=_np.int64,
+        )
+    else:
+        argmin_w = residues = weights_arr[argmin_v]
 
     # Scale: the scalar loop's two lcm contributions per edge (the
     # reduced denominators of ``w*/(2 |E(v*)|)`` and of its alpha
@@ -263,9 +295,8 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
     # With integral alphas ``gcd(w*, 2d*)`` divides ``gcd(w* alpha,
     # 2d*)``, so each raised contribution divides its bid contribution
     # and the second pass adds nothing to the lcm.
-    bid_dens = 2 * argmin_d
-    contributions = bid_dens // _np.gcd(argmin_w, bid_dens)
-    if max(dens) > 1:
+    contributions = bid_dens // _np.gcd(residues, bid_dens)
+    if fractional:
         alpha_num = _np.array(nums, dtype=_np.int64)[which]
         raised_dens = bid_dens * _np.array(dens, dtype=_np.int64)[which]
         contributions = _np.concatenate(
@@ -291,11 +322,11 @@ def _fused_iteration0(hypergraph: Hypergraph, config: AlgorithmConfig):
         else:
             total_delta = hypergraph._vertex_sums(bid.tolist())
     else:
+        if weights_arr is not None:
+            argmin_w = argmin_w.tolist()
         bid = [
             initial_bid_scaled(min_weight, min_degree, scale)
-            for min_weight, min_degree in zip(
-                argmin_w.tolist(), argmin_d.tolist()
-            )
+            for min_weight, min_degree in zip(argmin_w, argmin_d.tolist())
         ]
         total_delta = hypergraph._vertex_sums(bid)
     return ScaledState(
@@ -312,10 +343,12 @@ def prepare_scaled_state(
 ) -> ScaledState:
     """Run iteration 0 exactly: alpha, global scale, bids, bid sums.
 
-    The common all-integer-weights case runs as one fused vectorized
-    pass (:func:`_fused_iteration0`); the scalar per-edge loop below
-    remains the exact reference (and the only path for fractional
-    weights, huge magnitudes, or numpy-less interpreters).
+    Integer weights of any width below float64's range run as one
+    fused vectorized pass (:func:`_fused_iteration0`); the scalar
+    per-edge loop below remains the exact reference, and the only path
+    for fractional weights, weights past float64, wide weights (or
+    wide ``w * alpha_num`` products) under a fractional alpha, and
+    numpy-less interpreters.
     """
     state = _fused_iteration0(hypergraph, config)
     if state is not None:

@@ -34,6 +34,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import chain
 
 from repro.hypergraph.hypergraph import Hypergraph
 
@@ -214,32 +215,24 @@ def arena_incidence(arena: BatchArena) -> CSRLayout:
     return _layout(incidence)
 
 
-def _plain(slab):
-    """A slab as a sequence of plain Python ints.
-
-    A loaded or array-packed arena holds numpy ``int64`` arrays (and a
-    store's weights an ``array("q")``) where a tuple-packed one holds
-    tuples; the passes that rebuild tuple arenas normalize up front,
-    since numpy scalars must never leak into tuples or exact
-    arithmetic.
-    """
-    return slab.tolist() if hasattr(slab, "tolist") else slab
-
-
 def slice_arena(arena: BatchArena, indices: Sequence[int]) -> BatchArena:
     """Re-slice a packed arena down to a subset of its instances.
 
     Returns an arena ``==`` to the one :func:`pack_arena` would build
     for ``[instances[i] for i in indices]`` — every value, including
-    cell order; slab container types may differ — but assembled directly from the packed representation in
-    one O(selected cells) pass, never expanding the instances back to
-    :class:`~repro.hypergraph.hypergraph.Hypergraph` objects.  The
-    selection may be any subset in any order (indices need not be
-    contiguous or sorted): a lane's eligibility group, the half of a
-    shard a work-stealing scheduler takes, a single resubmitted
-    instance.  Each instance's membership cells are contiguous in the
-    parent (packing concatenates instances in order), so a slice is a
-    per-instance copy with the vertex base rewritten.
+    cell order; slab container types may differ — but assembled
+    directly from the packed representation, never expanding the
+    instances back to :class:`~repro.hypergraph.hypergraph.Hypergraph`
+    objects.  The selection may be any subset in any order (indices
+    need not be contiguous or sorted): a lane's eligibility group, the
+    half of a shard a work-stealing scheduler takes, a single
+    resubmitted instance.  Each instance's membership cells are
+    contiguous in the parent (packing concatenates instances in
+    order), so a slice is one copied block per selected instance with
+    the vertex base rewritten.  With numpy the membership slabs are
+    new ``int64`` arrays, the blocks re-based and concatenated (never a
+    view into the parent's buffer, which may be a mapped container);
+    without numpy they are plain tuples.
 
     Selecting *every* instance in order returns ``arena`` itself: an
     identity slice changes nothing, and passing the original through
@@ -255,44 +248,62 @@ def slice_arena(arena: BatchArena, indices: Sequence[int]) -> BatchArena:
     ):
         return arena
     membership = arena.membership
-    membership_lengths = _plain(membership.lengths)
-    membership_cells = _plain(membership.cells)
-    membership_starts = _plain(membership.starts)
+    starts, lengths, cells = (
+        membership.starts, membership.lengths, membership.cells
+    )
     vertex_offset = [0]
     edge_offset = [0]
     weights: list[int | Fraction] = []
-    lengths: list[int] = []
-    cells: list[int] = []
+    # One block per selected instance with edges: its lengths, and its
+    # cells with the shift that re-bases them.
+    blocks = []
     for old_index in indices:
-        vertex_lo = arena.vertex_offset[old_index]
-        vertex_hi = arena.vertex_offset[old_index + 1]
-        edge_lo = arena.edge_offset[old_index]
-        edge_hi = arena.edge_offset[old_index + 1]
+        vertex_lo, vertex_hi = arena.vertex_offset[old_index : old_index + 2]
+        edge_lo, edge_hi = arena.edge_offset[old_index : old_index + 2]
         shift = vertex_offset[-1] - vertex_lo
         vertex_offset.append(vertex_offset[-1] + (vertex_hi - vertex_lo))
         edge_offset.append(edge_offset[-1] + (edge_hi - edge_lo))
         weights.extend(arena.weights[vertex_lo:vertex_hi])
-        lengths.extend(membership_lengths[edge_lo:edge_hi])
         if edge_hi > edge_lo:
-            cell_lo = membership_starts[edge_lo]
-            cell_hi = (
-                membership_starts[edge_hi - 1]
-                + membership_lengths[edge_hi - 1]
+            cell_lo = int(starts[edge_lo])
+            cell_hi = int(starts[edge_hi - 1]) + int(lengths[edge_hi - 1])
+            blocks.append(
+                (lengths[edge_lo:edge_hi], cells[cell_lo:cell_hi], shift)
             )
-            cells.extend(
-                cell + shift
-                for cell in membership_cells[cell_lo:cell_hi]
-            )
+    if _np is None:
+        new_lengths = tuple(chain.from_iterable(block for block, _, _ in blocks))
+        layout = CSRLayout(
+            lengths=new_lengths,
+            starts=_starts_of(new_lengths),
+            cells=tuple(
+                cell + shift for _, block, shift in blocks for cell in block
+            ),
+        )
+    else:
+        int64 = _np.int64
+        empty = _np.empty(0, dtype=int64)
+        new_lengths = _np.concatenate(
+            [empty] + [_np.asarray(block, dtype=int64) for block, _, _ in blocks]
+        )
+        new_starts = _np.zeros(len(new_lengths), dtype=int64)
+        _np.cumsum(new_lengths[:-1], out=new_starts[1:])
+        layout = CSRLayout(
+            lengths=new_lengths,
+            starts=new_starts,
+            cells=_np.concatenate(
+                [empty]
+                + [
+                    _np.asarray(block, dtype=int64) + shift
+                    for _, block, shift in blocks
+                ]
+            ),
+        )
     return BatchArena(
         num_instances=len(indices),
         vertex_offset=tuple(vertex_offset),
         edge_offset=tuple(edge_offset),
         weights=tuple(weights),
-        membership=CSRLayout(
-            lengths=tuple(lengths),
-            starts=_starts_of(lengths),
-            cells=tuple(cells),
-        ),
+        membership=layout,
     )
 
 
@@ -383,7 +394,7 @@ def pack_arena(hypergraphs: Sequence[Hypergraph]) -> BatchArena:
     arrays, the pass concatenates instance arrays (converting any
     tuple-only member once) and the structural slabs are ``int64``
     arrays — what the kernel lanes read.  Otherwise the slabs are the
-    plain tuples :func:`slice_arena` builds.
+    plain tuples :func:`slice_arena` builds without numpy.
     """
     if _np is not None and any(
         hypergraph._cells is not None for hypergraph in hypergraphs

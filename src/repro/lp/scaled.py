@@ -118,10 +118,12 @@ class ScaledDual(Mapping):
 
     def reduced(self) -> tuple[list[int], list[int]]:
         """Every ``D_e / S`` in lowest terms, as ``(numerators,
-        denominators)`` lists: one ``np.gcd`` pass when ``S`` and every
-        ``D_e`` fit int64, ``math.gcd`` otherwise."""
+        denominators)`` lists.  While ``S`` fits int64 the gcds are one
+        ``np.gcd`` pass: over the ``D_e`` themselves when they fit too,
+        else over ``D_e mod S``, since ``gcd(D, S) = gcd(D mod S, S)``
+        (negative ``D`` included).  ``math.gcd`` otherwise."""
         scale, numerators = self._scale, self._numerators
-        if _np is not None and scale.bit_length() < 63:
+        if _np is not None and scale < 1 << 63:
             try:
                 array = _np.array(numerators, dtype=_np.int64)
             except OverflowError:
@@ -130,7 +132,12 @@ class ScaledDual(Mapping):
             if array is not None and array.min(initial=0) > -(1 << 63):
                 divisors = _np.gcd(array, scale)
                 return (array // divisors).tolist(), (scale // divisors).tolist()
-        divisors = [gcd(value, scale) for value in numerators]
+            residues = _np.array(
+                [value % scale for value in numerators], dtype=_np.int64
+            )
+            divisors = _np.gcd(residues, scale).tolist()
+        else:
+            divisors = [gcd(value, scale) for value in numerators]
         return (
             [value // divisor for value, divisor in zip(numerators, divisors)],
             [scale // divisor for divisor in divisors],

@@ -3,9 +3,12 @@ accounting details."""
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.core.fastpath as fastpath_module
 import repro.core.lockstep as lockstep_module
@@ -123,7 +126,7 @@ class TestLocalAlphaEndToEnd:
             assert result.certificate is not None
 
 
-#: The alpha policies whose fused iteration-0 scale must equal the
+#: The alpha policies whose fused iteration-0 state must equal the
 #: scalar pass's: integral alphas (theorem9's 2 at these degrees, and
 #: local's per-edge values), a fractional fixed one, and a fixed one
 #: with a wide denominator.
@@ -137,27 +140,142 @@ SCALE_CONFIGS = {
 }
 
 
+def weight_widths(hypergraph):
+    """One weight vector per width class iteration 0 distinguishes.
+
+    Small weights with many small prime factors; ``max_weight * Δ``
+    straddling ``2**62`` (int64 weights whose bids need Python ints);
+    weights in ``[2**62, 2**63)``, in ``[2**63, 2**156)`` and past
+    float64's range; and near-tie argmins at ``10**30``, where
+    ``w(v) / |E(v)|`` differs by less than float64 can tell.
+    """
+    n = hypergraph.num_vertices
+    degrees = [hypergraph.degree(vertex) for vertex in range(n)]
+    near = (1 << 62) // hypergraph.max_degree
+    return {
+        "small": [
+            (v % 7 + 1) * (3 ** (v % 4)) * (2 ** (v % 5)) for v in range(n)
+        ],
+        "straddle-2**62": [near - 12 + 3 * v for v in range(n)],
+        "2**62": [(1 << 62) + (v % 7) * 3 ** (v % 5) * 2**40 for v in range(n)],
+        "2**63-2**156": [
+            (1 << (63 + 4 * v)) + (v % 5 + 1) * 3 ** (v % 3) for v in range(n)
+        ],
+        "past-float64": [(1 << 1100) + v for v in range(n)],
+        "near-tie-10**30": [
+            10**30 * max(degree, 1) + (v % 3) for v, degree in enumerate(degrees)
+        ],
+    }
+
+
+def scalar_iteration0(hypergraph, config):
+    """The scalar loop's iteration-0 state (the fused pass switched off)."""
+    real = fastpath_module._fused_iteration0
+    fastpath_module._fused_iteration0 = lambda *args: None
+    try:
+        return prepare_scaled_state(hypergraph, config)
+    finally:
+        fastpath_module._fused_iteration0 = real
+
+
+def check_fused_iteration0(hypergraph, config, *, must_fuse):
+    """The fused pass equals the scalar pass wherever it runs, and
+    runs when ``must_fuse``; returns the fused state (or ``None``)."""
+    fused = fastpath_module._fused_iteration0(hypergraph, config)
+    scalar = scalar_iteration0(hypergraph, config)
+    if must_fuse:
+        assert fused is not None
+    if fused is not None:
+        assert scalar.alpha == fused.alpha
+        assert scalar.scale == fused.scale
+        assert scalar.bid == list(fused.bid)
+        assert list(scalar.total_delta) == list(fused.total_delta)
+        assert scalar.degrees == list(fused.degrees)
+    return fused
+
+
+def integral_alphas(hypergraph, config) -> bool:
+    """Whether every alpha of the instance is an integer."""
+    alpha = scalar_iteration0(hypergraph, config).alpha
+    alphas = alpha if isinstance(alpha, list) else [alpha]
+    return all(a.denominator == 1 for a in alphas)
+
+
 @pytest.mark.skipif(not HAS_NUMPY, reason="the fused pass needs numpy")
 @pytest.mark.parametrize("policy", SCALE_CONFIGS)
 @pytest.mark.parametrize("seed", range(4))
-def test_fused_scale_equals_scalar_scale(monkeypatch, policy, seed):
-    """The fused pass skips the raised-contribution gcds under integral
-    alphas; that may not change the scale the scalar pass computes."""
-    weights = [
-        (v % 7 + 1) * (3 ** (v % 4)) * (2 ** (v % 5)) for v in range(24)
-    ]
-    hypergraph = mixed_rank_hypergraph(24, 40, 4, seed=seed, weights=weights)
+def test_fused_scale_equals_scalar_scale(policy, seed):
+    """On every weight width the fused pass builds the scalar pass's
+    state (alpha, scale, bids, sums, degrees).  It runs wherever the
+    weights are integers below float64's range and alpha is integral,
+    and under the fractional alphas on small weights; past float64 it
+    bows out."""
+    base = mixed_rank_hypergraph(24, 40, 4, seed=seed)
     config = AlgorithmConfig(epsilon=Fraction(1, 3), **SCALE_CONFIGS[policy])
-    fused = fastpath_module._fused_iteration0(hypergraph, config)
-    assert fused is not None
-    monkeypatch.setattr(
-        fastpath_module, "_fused_iteration0", lambda *args: None
+    for width, weights in weight_widths(base).items():
+        hypergraph = base.reweighted(weights)
+        fused = check_fused_iteration0(
+            hypergraph,
+            config,
+            must_fuse=width == "small"
+            or (width != "past-float64" and integral_alphas(hypergraph, config)),
+        )
+        if width == "past-float64":
+            assert fused is None
+
+
+WIDTH_SETTINGS = settings(
+    max_examples=int(os.environ.get("LANE_DIFF_EXAMPLES", "15")),
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="the fused pass needs numpy")
+@WIDTH_SETTINGS
+@given(data=st.data(), policy=st.sampled_from(sorted(SCALE_CONFIGS)))
+def test_property_fused_iteration0_widths(data, policy):
+    """Random instances whose weights mix every width (small, int64,
+    past int64, past float64, and near-tie argmins at ``10**30``): the
+    fused pass equals the scalar pass, and runs whenever every weight
+    is below float64's range and every alpha is integral."""
+    n = data.draw(st.integers(1, 12), label="n")
+    edges = [
+        tuple(
+            data.draw(
+                st.lists(
+                    st.integers(0, n - 1), min_size=1, max_size=min(4, n),
+                    unique=True,
+                )
+            )
+        )
+        for _ in range(data.draw(st.integers(1, 14), label="m"))
+    ]
+    degrees = [sum(vertex in edge for edge in edges) for vertex in range(n)]
+    tie = data.draw(st.integers(10**29, 10**31), label="tie")
+    widths = {
+        "small": st.integers(1, 10**6),
+        "int64": st.integers(1 << 58, (1 << 63) - 1),
+        "wide": st.integers(1 << 63, 1 << 160),
+        # ``w / d = tie + offset / d``: ratios float64 cannot tell apart.
+        "tie": st.integers(0, 2),
+        "huge": st.just(1 << 1100),
+    }
+    weights = []
+    for vertex in range(n):
+        kind = data.draw(st.sampled_from(sorted(widths)))
+        weight = data.draw(widths[kind])
+        if kind == "tie":
+            weight += tie * max(degrees[vertex], 1)
+        weights.append(weight)
+    hypergraph = Hypergraph(n, edges, weights)
+    config = AlgorithmConfig(epsilon=Fraction(1, 3), **SCALE_CONFIGS[policy])
+    check_fused_iteration0(
+        hypergraph,
+        config,
+        must_fuse=max(weights) < 1 << 1000 and integral_alphas(hypergraph, config),
     )
-    scalar = prepare_scaled_state(hypergraph, config)
-    assert scalar.alpha == fused.alpha
-    assert scalar.scale == fused.scale
-    assert scalar.bid == list(fused.bid)
-    assert list(scalar.total_delta) == list(fused.total_delta)
 
 
 class CountingNode(Node):

@@ -42,6 +42,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.batch as batch_module
 import repro.core.kernels as kernels_module
 import repro.lp.scaled as scaled_module
 from repro.core.batch import arena_eligibility
@@ -450,6 +451,82 @@ def regular_instance(n, max_weight, seed):
     return regular_hypergraph(
         n, 3, 6, seed=seed, weights=uniform_weights(n, max_weight, seed=seed + 7)
     )
+
+
+def spy_rescales(monkeypatch) -> list:
+    """Record every :meth:`LaneRun._halve_edges` call as ``(lane, grown,
+    spilled, scales)``: the positions whose scale grew, the positions
+    it spilled, and the scales before the call."""
+    events = []
+    real = kernels_module.LaneRun._halve_edges
+
+    def spying(self, edge_view):
+        scales, spilled = list(self.scales), set(self.spilled)
+        result = real(self, edge_view)
+        grown = [
+            position
+            for position, (old, new) in enumerate(zip(scales, self.scales))
+            if new != old
+        ]
+        events.append(
+            (self.ops.name, grown, sorted(self.spilled - spilled), scales)
+        )
+        return result
+
+    monkeypatch.setattr(kernels_module.LaneRun, "_halve_edges", spying)
+    return events
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "lane, max_weight",
+    [
+        ("int64", 10**3),
+        ("two-limb", 10**10),
+        ("three-limb", 10**18),
+        ("four-limb", 10**30),
+    ],
+)
+def test_one_sweep_grows_two_instances_and_spills_a_third(
+    monkeypatch, lane, max_weight
+):
+    """The batched rescale: in one sweep of a three-instance arena two
+    instances grow (one shift per value array) while the third, its
+    limit shrunk to its scale before that sweep, spills and carries to
+    a wider lane.  Every result equals solo fastpath and lockstep."""
+    config = AlgorithmConfig(epsilon=Fraction(1, 7))
+    batch = [regular_instance(30, max_weight, seed) for seed in range(3)]
+    events = spy_rescales(monkeypatch)
+    # Probe: the first sweep that grows every instance, and the scale
+    # the last one had before it.
+    batch_module.run_ladder(batch, config, verify=False, start=lane)
+    _, grown, _, scales = next(
+        event for event in events if event[0] == lane and len(event[1]) == 3
+    )
+    victim = grown[-1]
+    real_limits = batch_module.default_scale_limits
+
+    def shrunk_limits(*args, **kwargs):
+        limits = real_limits(*args, **kwargs)
+        if kwargs["lane"] == lane and len(limits) == len(batch):
+            limits[victim] = scales[victim]
+        return limits
+
+    monkeypatch.setattr(batch_module, "default_scale_limits", shrunk_limits)
+    events.clear()
+    results = batch_module.run_ladder(batch, config, verify=True, start=lane)
+    assert any(
+        name == lane and len(grown_now) == 2 and spilled == [victim]
+        for name, grown_now, spilled, _ in events
+    )
+    assert results[victim].lane != lane
+    monkeypatch.setattr(batch_module, "default_scale_limits", real_limits)
+    for hypergraph, result in zip(batch, results):
+        solo = solve_mwhvc(hypergraph, config=config, executor="fastpath")
+        reference = solve_mwhvc(hypergraph, config=config, executor="lockstep")
+        for attribute in OBSERVABLES:
+            assert getattr(result, attribute) == getattr(solo, attribute)
+            assert getattr(result, attribute) == getattr(reference, attribute)
 
 
 @needs_numpy
@@ -917,6 +994,20 @@ LIMB_LANES = [
 
 
 @needs_numpy
+@pytest.mark.parametrize("name", LIMB_LANES)
+def test_limb_from_list_refuses_wide_top_words(name):
+    """``from_list`` splits words from each value's bytes; a value whose
+    top word passes int64 raises ``OverflowError`` and never wraps."""
+    ops = kernels_module.LANE_TABLE[name].ops
+    top = 32 * (ops.limbs - 1)
+    widest = (1 << (top + 63)) - 1
+    assert ops.tolist_slice(ops.from_list([3, widest]), slice(None)) == [3, widest]
+    for too_wide in (1 << (top + 63), 1 << (top + 64), 1 << (top + 100)):
+        with pytest.raises(OverflowError):
+            ops.from_list([1, too_wide])
+
+
+@needs_numpy
 @pytest.mark.parametrize(
     "ops, headroom, factor_bits",
     [
@@ -1062,7 +1153,9 @@ def test_property_limb_ops_match_python_ints(ops, headroom, factor_bits, data):
         ops.from_list(running), int64s(dens), ops.from_list(thresholds)
     ).tolist() == [r * d >= t for r, d, t in zip(running, dens, thresholds)]
 
-    # Shifts: shl, its exact inverse, the in-place slice and halving forms.
+    # Shifts: shl, its exact inverse, the in-place form a rescale
+    # applies (shift 0 outside the growing instance) and the halving
+    # form.
     shift_bits = data.draw(st.integers(1, headroom - 1), label="shift")
     counts = data.draw(
         st.lists(st.integers(0, shift_bits), min_size=size, max_size=size)
@@ -1076,12 +1169,13 @@ def test_property_limb_ops_match_python_ints(ops, headroom, factor_bits, data):
     assert back(halved) == [
         bases[i] if i in picks else v for i, v in enumerate(shifted)
     ]
-    moved = ops.from_list(bases)
-    ops.ishl_slice(moved, window, shift_bits)
-    assert back(moved) == [
-        v << shift_bits if window.start <= i < window.stop else v
-        for i, v in enumerate(bases)
+    window_shifts = [
+        shift_bits if window.start <= i < window.stop else 0
+        for i in range(size)
     ]
+    moved = ops.from_list(bases)
+    ops.ishl(moved, int64s(window_shifts))
+    assert back(moved) == [v << s for v, s in zip(bases, window_shifts)]
 
     # Raise test: ``sums << (level+1) <= weight << extra_shift`` with
     # ties and near-ties, with and without the compact schedule's shift.

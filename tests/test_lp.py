@@ -366,6 +366,34 @@ class TestScaledDual:
                 for edge, value in enumerate(numerators)
             }
 
+    def test_reduced_takes_residues_when_only_numerators_pass_int64(
+        self, monkeypatch
+    ):
+        """While ``S`` fits int64, numerators past int64 reduce through
+        one ``np.gcd`` over ``D mod S`` (``gcd(D, S) = gcd(D mod S, S)``,
+        negative ``D`` included), never the per-edge ``math.gcd`` loop,
+        and the pairs equal the ``math.gcd`` reference."""
+        import math
+
+        import repro.lp.scaled as scaled_module
+
+        def refuse(*args):
+            raise AssertionError("math.gcd loop taken while S fits int64")
+
+        if scaled_module._np is not None:
+            monkeypatch.setattr(scaled_module, "gcd", refuse)
+        for scale in (1, 6, 10**9 + 7, 2**62, 2**62 + 3, 2**63 - 25, 2**63 - 1):
+            numerators = [
+                2**63 - 1, 2**63, 2**63 + 1, -(2**63) + 1, -(2**63),
+                -(2**63) - 1, 0, scale, -scale, 3 * scale + 1,
+                2**200 + scale, -(2**130) * scale - 5, 7,
+            ]
+            divisors = [math.gcd(value, scale) for value in numerators]
+            assert ScaledDual(scale, numerators).reduced() == (
+                [value // divisor for value, divisor in zip(numerators, divisors)],
+                [scale // divisor for divisor in divisors],
+            ), scale
+
     def test_certificate_reads_the_scale_directly(self, square):
         cover = [1, 3]
         delta = ScaledDual(2, [1, 1, 1, 1])

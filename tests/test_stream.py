@@ -131,6 +131,47 @@ def test_slice_arena_degenerates():
     assert slice_arena(arena, [2, 1, 0]) == pack_arena(batch[::-1])
 
 
+@pytest.mark.skipif(not HAS_NUMPY, reason="the array slice needs numpy")
+def test_slice_arena_array_path_equals_tuple_path(monkeypatch, tmp_path):
+    """With numpy a slice is fresh ``int64`` slabs, one re-based block
+    per selected instance, and never a view into the parent (here a
+    mapped container); it equals the numpy-less tuple slice and a
+    re-pack of the selection, for unsorted, non-contiguous and
+    zero-edge selections."""
+    import numpy as np
+
+    import repro.hypergraph.csr as csr_module
+    from repro.hypergraph.store import load_arena, save_arena
+
+    batch = random_batch(5, base_seed=2)
+    batch[1:1] = [
+        Hypergraph(2, []),
+        Hypergraph(3, [(0, 2)], weights=[10**20, 1, 2]),
+    ]
+    save_arena(pack_arena(batch), tmp_path / "batch.arena")
+    mapped = load_arena(tmp_path / "batch.arena", mmap=True)
+    selections = [(4, 0, 2), (6, 3, 1), (1,), (1, 5, 1), (2, 1), ()]
+    with monkeypatch.context() as patch:
+        patch.setattr(csr_module, "_np", None)
+        tuple_arena = pack_arena(batch)
+        tuple_slices = [
+            slice_arena(tuple_arena, selection) for selection in selections
+        ]
+    for selection, tuple_slice in zip(selections, tuple_slices):
+        sliced = slice_arena(mapped, selection)
+        repacked = pack_arena([batch[index] for index in selection])
+        assert sliced == tuple_slice == repacked, selection
+        assert type(tuple_slice.membership.cells) is tuple
+        for slab in (
+            sliced.membership.lengths,
+            sliced.membership.starts,
+            sliced.membership.cells,
+        ):
+            assert isinstance(slab, np.ndarray) and slab.dtype == np.int64
+            assert not np.shares_memory(slab, mapped.membership.cells)
+        assert arena_hypergraphs(sliced) == [batch[index] for index in selection]
+
+
 @pytest.mark.skipif(not HAS_NUMPY, reason="arena lanes need numpy")
 def test_batch_arena_reuse_matches_repack():
     """``run_fastpath_batch(arena=...)`` — the worker-side path — must
